@@ -24,8 +24,9 @@ from repro.core.strategy import OverlapMode
 from repro.dse import DesignSpace, DSERunner, ExhaustiveSearch, GeneticSearch
 from repro.explore import Executor, MappingCache
 from repro.mapping import SearchConfig
+from repro.serve import CacheClient
 
-from .conftest import FULL, JOBS, write_output
+from .conftest import FULL, JOBS, serve_subprocess, write_output
 
 #: Candidate tiles: the paper grid, or a reduced smoke slice.
 TILE_X = (1, 4, 16, 60, 240, 960) if FULL else (4, 16, 60)
@@ -205,8 +206,9 @@ def test_dse_partition_genes_smoke(benchmark):
     * a **degenerate** run whose partition axis is constrained to the
       weights-fit rule reproduces the fuse-depth-only frontier
       bit-identically;
-    * the **full cut-subset space** yields bit-identical frontiers on
-      the serial, process and service backends;
+    * the **full cut-subset space** yields bit-identical frontiers
+      serially and on the process pool, with a local cache and with a
+      :class:`~repro.serve.CacheClient` against a real ``repro serve``;
     * the searched partition frontier **covers** (dominates or ties)
       the fuse-depth-only frontier — whether the domination is strict
       (the fuse-only frontier cannot cover it back) is reported in the
@@ -231,9 +233,9 @@ def test_dse_partition_genes_smoke(benchmark):
         **grid, partitions=PartitionAxis(segments=segments)
     )
 
-    def run(space, jobs=1, backend=None):
+    def run(space, jobs=1, on=None):
         with Executor(
-            jobs=jobs, search_config=config, cache=cache, backend=backend
+            jobs=jobs, search_config=config, cache=on or cache
         ) as executor:
             runner = DSERunner(
                 space,
@@ -260,11 +262,12 @@ def test_dse_partition_genes_smoke(benchmark):
         (e.point, e.values) for e in fuse.frontier.entries
     ]
 
-    # Backend identity: serial == process == service, bit for bit.
+    # Identity: serial == process pool, local cache or cache server.
     serial = run(partition_space)
     parallel = run(partition_space, jobs=2)
-    service = run(partition_space, jobs=2, backend="service")
-    for other in (parallel, service):
+    with serve_subprocess() as (_, address), CacheClient(address) as client:
+        served = run(partition_space, jobs=2, on=client)
+    for other in (parallel, served):
         assert [(e.point, e.values) for e in serial.frontier.entries] == [
             (e.point, e.values) for e in other.frontier.entries
         ]

@@ -1,14 +1,12 @@
-"""Evaluation-service smoke: a sweep through the live shared-cache
-service is bit-identical to serial, in-process and against a real
+"""Cache-server smoke: a sweep on the process pool is bit-identical to
+serial with a local cache and with a :class:`CacheClient` against a real
 standalone ``repro serve`` server in another OS process.
 
-This is the CI gate for the serve subsystem: if the service backend,
+This is the CI gate for the serve subsystem: if the pool's cache flow,
 the cache wire protocol, or the standalone server drift from the serial
 evaluator in any way, these assertions catch it.
 """
 
-import subprocess
-import sys
 import time
 
 from repro.core.strategy import OverlapMode
@@ -16,7 +14,7 @@ from repro.explore import Executor, MappingCache, SweepSpec
 from repro.mapping import SearchConfig
 from repro.serve import CacheClient
 
-from .conftest import write_output
+from .conftest import serve_subprocess, write_output
 
 TILES = ((8, 8), (32, 36), (60, 72))
 MODES = (OverlapMode.FULLY_CACHED, OverlapMode.FULLY_RECOMPUTE)
@@ -31,28 +29,25 @@ def totals(results) -> list:
     return [(r.result.energy_pj, r.result.latency_cycles) for r in results]
 
 
-def test_service_backend_identical_to_serial(benchmark):
-    """In-process smoke: Executor(backend='service') == serial, with
-    the embedded cache server filling the executor's cache live."""
+def test_process_pool_identical_to_serial(benchmark):
+    """In-process smoke: Executor(jobs=2) == serial, with the workers'
+    entries harvested back into the executor's cache."""
     spec = fsrcnn_spec()
     serial = Executor(jobs=1, search_config=CONFIG).run(spec)
 
     def run():
         cache = MappingCache()
-        with Executor(
-            jobs=2, backend="service", search_config=CONFIG, cache=cache
-        ) as executor:
-            served = executor.run(spec)
-            stats = executor.service.stats()
-        return served, stats, len(cache)
+        with Executor(jobs=2, search_config=CONFIG, cache=cache) as executor:
+            pooled = executor.run(spec)
+        return pooled, cache
 
-    served, stats, harvested = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert totals(served) == totals(serial)
-    assert harvested > 0  # live harvest: no explicit merge step ran
+    pooled, cache = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert totals(pooled) == totals(serial)
+    assert len(cache) > 0  # worker entries harvested back
     write_output(
         "serve_smoke.txt",
-        "service == serial on "
-        f"{len(spec)} jobs; service stats: {stats}",
+        f"process pool == serial on {len(spec)} jobs; "
+        f"harvested cache: {cache.stats}",
     )
 
 
@@ -61,17 +56,7 @@ def test_standalone_server_round_trip():
     it with --cache-server semantics (a CacheClient-backed executor),
     and compare with serial."""
     spec = fsrcnn_spec()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--timeout", "600"],
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        # Startup contract: the first line announces the picked port.
-        line = proc.stdout.readline()
-        assert "cache server listening on " in line
-        address = line.rsplit(" ", 1)[-1].strip()
-
+    with serve_subprocess() as (proc, address):
         client = CacheClient(address)
         served = Executor(jobs=2, search_config=CONFIG, cache=client).run(spec)
         assert len(client) > 0  # the server's table filled
@@ -86,10 +71,6 @@ def test_standalone_server_round_trip():
 
         client.shutdown_server()
         proc.wait(timeout=30)  # graceful exit after the remote shutdown
-    finally:
-        if proc.poll() is None:
-            proc.terminate()
-            proc.wait(timeout=30)
 
     serial = Executor(jobs=1, search_config=CONFIG).run(spec)
     assert totals(served) == totals(serial)

@@ -9,7 +9,11 @@ finishes in minutes; the original artifact takes 18 hours).
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -43,6 +47,28 @@ def write_output(name: str, text: str) -> Path:
     path = OUTPUT_DIR / name
     path.write_text(text + "\n")
     return path
+
+
+@contextmanager
+def serve_subprocess() -> Iterator[tuple[subprocess.Popen, str]]:
+    """Run a real ``repro serve`` subprocess on a free port; yields
+    ``(proc, "HOST:PORT")`` and terminates the server on exit unless it
+    has already stopped."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--timeout", "600"],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        # Startup contract: the first line announces the picked port.
+        line = proc.stdout.readline()
+        assert "cache server listening on " in line
+        yield proc, line.rsplit(" ", 1)[-1].strip()
+    finally:
+        if proc.poll() is None:
+            proc.terminate()
+        proc.wait(timeout=30)
+        proc.stdout.close()
 
 
 @pytest.fixture(scope="session")

@@ -153,8 +153,8 @@ def _hit_rate_line(label: str, hits: float, misses: float) -> "str | None":
 
 def metrics_report(values: "Mapping[str, float]", top: int = 12) -> str:
     """Render a metrics snapshot (the flat ``{series: value}`` form of
-    :func:`repro.obs.parse_prometheus`): cache hit rates, per-shard
-    service utilization, then the largest remaining counters."""
+    :func:`repro.obs.parse_prometheus`): cache hit rates, then the
+    largest remaining counters."""
     named: "dict[str, list[tuple[dict, float]]]" = {}
     for series, value in values.items():
         name, labels = _split_series(series)
@@ -192,31 +192,8 @@ def metrics_report(values: "Mapping[str, float]", top: int = 12) -> str:
         if line is not None:
             lines.append(line)
 
-    # Per-shard service utilization from the labeled histograms.
-    shards = sorted(
-        {
-            labels["shard"]
-            for labels, _ in named.get("service_exec_seconds_count", [])
-            if "shard" in labels
-        },
-        key=lambda s: (len(s), s),
-    )
-    if shards:
-        lines.append(
-            f"{'shard':>5s} {'jobs':>6s} {'busy':>10s} {'avg wait':>10s}"
-        )
-        for shard in shards:
-            jobs = total("service_exec_seconds_count", shard=shard)
-            busy = total("service_exec_seconds_sum", shard=shard)
-            wait = total("service_queue_wait_seconds_sum", shard=shard)
-            lines.append(
-                f"{shard:>5s} {int(jobs):6d} "
-                f"{_format_seconds(busy):>10s} "
-                f"{_format_seconds(wait / jobs if jobs else 0.0):>10s}"
-            )
-
-    # The biggest remaining counters (skip histogram components — they
-    # were summarized above — and anything already reported).
+    # The biggest remaining counters (skip histogram components and
+    # anything already reported).
     reported = {
         "mapping_cache_gets_total",
         "cache_client_gets_total",

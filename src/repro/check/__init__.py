@@ -1,8 +1,8 @@
 """Self-hosted static invariant checker (``repro check``).
 
-The repo's load-bearing promises — serial == process == service
-bit-identity, scalar == batch engine equality, cache keys that capture
-exactly the semantic knobs — are enforced dynamically by the test
+The repo's load-bearing promises — serial == process-pool bit-identity,
+scalar == batch engine equality, cache keys that capture exactly the
+semantic knobs — are enforced dynamically by the test
 suite, but only on the paths a test happens to exercise.  This package
 enforces the *source-level contracts* behind those promises on every
 file, every commit:

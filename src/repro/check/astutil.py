@@ -53,24 +53,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return ".".join(reversed(parts))
 
 
-def enclosing_function(
-    node: ast.AST,
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The innermost function the node sits in, if any."""
-    for ancestor in ancestors(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
-
-
-def enclosing_class(node: ast.AST) -> ast.ClassDef | None:
-    """The innermost class the node sits in, if any."""
-    for ancestor in ancestors(node):
-        if isinstance(ancestor, ast.ClassDef):
-            return ancestor
-    return None
-
-
 def held_locks(node: ast.AST) -> set[str]:
     """Names of every ``self.<lock>`` held at the node's position:
     the ``with self.X:`` (or ``with self.X as y:``) statements on the

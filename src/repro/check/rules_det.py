@@ -1,7 +1,8 @@
 """DET0xx — determinism lints for the result-producing packages.
 
 The exploration stack's core promise is bit-identity: the same inputs
-produce the same results whatever the backend, worker count or host.
+produce the same results serial or pooled, whatever the worker count
+or host.
 These rules keep nondeterminism out of the packages that *compute*
 results:
 

@@ -1,8 +1,8 @@
 """RACE0xx — guarded-by analysis for the shared-state classes.
 
-The serving layer (``CacheServer``, ``EvalService``) and the cache they
-front (``MappingCache``) are touched by handler threads, collector
-threads and the foreground loop at once.  Their concurrency contract is
+The cache server (``CacheServer``) and the cache it fronts
+(``MappingCache``) are touched by handler threads, snapshot threads and
+the foreground loop at once.  Their concurrency contract is
 documented *in the source* with trailing annotations on the ``__init__``
 assignment of every shared mutable attribute::
 
@@ -42,7 +42,6 @@ from .registry import rule
 #: (file, class) pairs whose mutable shared attributes MUST be annotated.
 REQUIRED_GUARDED_CLASSES = (
     ("src/repro/serve/cache_server.py", "CacheServer"),
-    ("src/repro/serve/service.py", "EvalService"),
     ("src/repro/mapping/cache.py", "MappingCache"),
 )
 
@@ -257,7 +256,7 @@ def check_guarded_mutations(ctx: CheckContext) -> Iterator[Finding]:
 @rule(
     "RACE002",
     "missing guarded-by annotation",
-    "Every mutable shared attribute of CacheServer, EvalService and "
+    "Every mutable shared attribute of CacheServer and "
     "MappingCache must carry a '# guarded-by:' annotation on its "
     "__init__ assignment ('<owner>' documents external "
     "synchronization).",

@@ -43,7 +43,7 @@ evaluation above):
     ``--trace OUT.jsonl`` (structured span trace) and ``--metrics
     OUT.prom`` (counters/gauges/histograms, Prometheus text or JSON);
     ``repro stats FILE`` renders top spans by self time, wall-clock
-    coverage, cache hit rates and per-shard service utilization.
+    coverage and cache hit rates.
     Telemetry is identity-neutral: results are bit-identical with it
     on or off.
 ``repro serve``
@@ -63,9 +63,9 @@ evaluation above):
     ``BENCH_loma.json``) against a baseline with per-metric thresholds
     and exits nonzero on regression — the CI perf gate.
 ``repro top``
-    Live fleet monitoring: poll a cache server's ``stats``/``metrics``
-    wire ops and render a refreshing terminal view — shard utilization,
-    queue depth, in-flight jobs, hit rate, evals/s.
+    Live fleet monitoring: poll a cache server's ``stats`` wire op and
+    render a refreshing terminal view — entries, hit rate, connections,
+    queue depth, in-flight requests, request and evals/s.
 ``repro check``
     Static invariant checker: determinism (DET0xx), guarded-by
     concurrency (RACE0xx), cache-token purity (CACHE0xx) and doc-drift
@@ -73,11 +73,6 @@ evaluation above):
     committed ``check_baseline.json`` of blessed exceptions.  ``check
     run --strict`` is the CI gate; ``check baseline`` regenerates the
     baseline; ``check rules`` lists the codes.
-
-Evaluating subcommands also accept ``--backend service``: batches then
-run through a long-lived :class:`~repro.serve.service.EvalService`
-(async job queue, worker shards, in-flight dedup) whose shards share a
-live cache server — results stay bit-identical to serial.
 
 Results are printed and optionally written as JSON (the artifact wrote
 pickle files; JSON keeps them human-readable and diffable).
@@ -359,15 +354,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "this excludes --cache",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "process", "service"),
-        default="auto",
-        help="evaluation backend: 'auto' picks serial/process from "
-        "--jobs; 'service' runs batches through a long-lived sharded "
-        "evaluation service whose workers share cache hits live "
-        "(results are identical on every backend)",
-    )
-    parser.add_argument(
         "--lpf-limit",
         type=int,
         default=6,
@@ -452,10 +438,6 @@ def _resolve_cache(args) -> "MappingCache | CacheClient":
     return MappingCache(args.cache) if args.cache else MappingCache()
 
 
-def _backend(args) -> "str | None":
-    return None if args.backend == "auto" else args.backend
-
-
 def _finish_cache(args, cache) -> None:
     """Post-run cache reporting/persistence: save a local file cache,
     or report (and leave persistence to) the live server."""
@@ -509,7 +491,6 @@ def _begin_ledger(command: str, argv, args, **manifest) -> "ledger.RunHandle | N
     manifest.update(
         seed=args.seed,
         engine=args.engine,
-        backend=args.backend,
         jobs=args.jobs,
         budget=args.budget,
         lpf_limit=args.lpf_limit,
@@ -672,7 +653,7 @@ def run_evaluate(argv: Sequence[str]) -> int:
             workload=args.workload,
             tiles=len(tiles),
         ):
-            if len(tiles) == 1 and args.backend in ("auto", "serial"):
+            if len(tiles) == 1:
                 engine = DepthFirstEngine(accel, config, cache=cache)
                 result = engine.evaluate(
                     workload,
@@ -688,7 +669,6 @@ def run_evaluate(argv: Sequence[str]) -> int:
                     jobs=args.jobs,
                     search_config=config,
                     cache=cache,
-                    backend=_backend(args),
                 ) as executor:
                     results = executor.run(spec)
                 for r in results:
@@ -1043,7 +1023,6 @@ def run_dse(argv: Sequence[str]) -> int:
                 jobs=args.jobs,
                 search_config=config,
                 cache=cache,
-                backend=_backend(args),
             ) as executor:
                 runner = DSERunner(
                     space,
@@ -1347,7 +1326,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
         description="Inspect telemetry artifacts written by --trace and "
         "--metrics: JSON-lines traces (top spans by self time, wall-"
         "clock coverage) and Prometheus text / metrics JSON snapshots "
-        "(cache hit rates, per-shard utilization, top counters).",
+        "(cache hit rates, top counters).",
     )
     parser.add_argument(
         "paths",
@@ -1649,10 +1628,9 @@ def build_top_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro top",
         description="Live view of a cache-server fleet: polls the "
-        "server's stats/metrics wire ops and renders a refreshing "
+        "server's stats wire op and renders a refreshing "
         "terminal frame (entries, hit rate, connections, in-flight, "
-        "queue depth, request and evaluation rates, per-shard "
-        "utilization when an embedded EvalService reports).",
+        "queue depth, request and evaluation rates).",
     )
     parser.add_argument(
         "address", metavar="HOST:PORT", help="a running 'repro serve'"

@@ -19,7 +19,6 @@ pairs are identical and are evaluated once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 from ..workloads.layer import LayerSpec
 from .geometry import EMPTY, Interval, input_interval, tile_edges
@@ -425,8 +424,3 @@ def _classify(
         cls = seen.setdefault(sig, len(seen))
         class_of.append(cls)
     return class_of
-
-
-def iter_tiles(tiling: StackTiling) -> Iterator[TileType]:
-    """Iterate tile types (steps 2-6 run once per type)."""
-    return iter(tiling.tile_types)

@@ -8,7 +8,7 @@ evaluations.  This subsystem runs them as first-class batches:
   tile-grid, multi-strategy, per-stack, multi-workload and
   multi-architecture sweep shapes;
 * :class:`Executor` — serial or ``ProcessPoolExecutor``-backed
-  evaluation with deterministic, backend-independent results;
+  evaluation with deterministic results, identical either way;
 * :class:`MappingCache` — the shareable (and optionally disk-backed)
   store of LOMA search results that lets warm sweeps skip the mapping
   search entirely (re-exported from :mod:`repro.mapping.cache`).
@@ -24,11 +24,10 @@ Quick parallel sweep::
 """
 
 from ..mapping.cache import MappingCache
-from .executor import BACKENDS, EvalResult, Executor
+from .executor import EvalResult, Executor
 from .spec import DEFAULT_MODES, EvalJob, SweepSpec
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_MODES",
     "EvalJob",
     "EvalResult",

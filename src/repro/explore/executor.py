@@ -3,8 +3,8 @@ job lists serially or across worker processes.
 
 Design rules:
 
-* **Determinism** — results come back in job order and the parallel
-  backend is bit-identical to the serial one: every job is an
+* **Determinism** — results come back in job order and parallel runs
+  are bit-identical to serial ones: every job is an
   independent evaluation, and the mapping search is deterministic, so
   cache state (cold, warm, or pre-warmed) never changes a result, only
   how fast it is produced.
@@ -77,16 +77,10 @@ def _ref_key(ref) -> "str | int":
 class _JobRunner:
     """Evaluates jobs against per-accelerator engines sharing one cache.
 
-    Used directly by the serial backend, as process-global state by each
-    worker of the parallel backend, and per shard by the long-lived
-    evaluation service.  Object references memoize by ``id()``, which a
-    service shard sees fresh for every unpickled job — so both memos are
-    capacity-bounded (oldest out) to keep a long-lived runner's memory
-    flat; zoo-name references always re-hit their entry.
+    Used directly by serial runs and as process-global state by each
+    pool worker.  Engines and workloads are memoized per reference (zoo
+    name, or ``id()`` of an object the job list keeps alive).
     """
-
-    #: Per-memo capacity (engines and workloads each).
-    MEMO_BOUND = 64
 
     def __init__(
         self,
@@ -100,11 +94,6 @@ class _JobRunner:
         self._engines: dict[str | int, DepthFirstEngine] = {}
         self._workloads: dict[str | int, object] = {}
 
-    @classmethod
-    def _bound(cls, memo: dict) -> None:
-        while len(memo) > cls.MEMO_BOUND:
-            del memo[next(iter(memo))]
-
     def engine_for(self, job: EvalJob) -> DepthFirstEngine:
         key = _ref_key(job.accelerator)
         engine = self._engines.get(key)
@@ -116,7 +105,6 @@ class _JobRunner:
                 cache=self.cache,
             )
             self._engines[key] = engine
-            self._bound(self._engines)
         return engine
 
     def workload_for(self, job: EvalJob):
@@ -125,7 +113,6 @@ class _JobRunner:
         if workload is None:
             workload = _resolve_workload(job.workload)
             self._workloads[key] = workload
-            self._bound(self._workloads)
         return workload
 
     def evaluate(self, job: EvalJob) -> "ScheduleResult | StackResult":
@@ -179,37 +166,26 @@ def _worker_run_shard(shard: "list[tuple[int, EvalJob]]"):
     return results, runner.cache.delta(baseline), stats, obs.harvest()
 
 
-#: Executor backends; ``None`` auto-selects serial/process from ``jobs``.
-BACKENDS = ("serial", "process", "service")
-
-
 class Executor:
-    """Runs sweep jobs with a serial, process-pool or service backend.
+    """Runs sweep jobs serially or across a process pool.
 
     Parameters
     ----------
     jobs:
-        Worker processes (service: shards).  ``1`` (default) evaluates
-        in-process; ``0`` or ``None`` means one worker per CPU.
+        Worker processes.  ``1`` (default) evaluates in-process; ``0``
+        or ``None`` means one worker per CPU.  A run with a single job
+        is always evaluated in-process.
     search_config, policy:
         Engine construction knobs, shared by every evaluation.
     cache:
         A :class:`MappingCache` handle shared across the run (and, if
         disk-backed, across runs).  A private in-memory cache is created
         when omitted.  A :class:`~repro.serve.cache_server.CacheClient`
-        is accepted anywhere a cache is: every backend then reads and
-        writes the remote server's live table.
-    backend:
-        ``None`` (default) auto-selects: serial for ``jobs=1``, the
-        process pool otherwise.  ``"service"`` runs batches through a
-        long-lived :class:`~repro.serve.service.EvalService` whose
-        ``jobs`` shards share one live cache server — hits propagate
-        *between* workers mid-run, and the service (with its warm
-        shards) persists across ``run()`` calls until :meth:`close`.
-    max_pending:
-        Service backend only: in-flight bound (backpressure).
+        is accepted anywhere a cache is: the run then pre-warms from and
+        harvests back to the remote server's live table.
 
-    Every backend returns bit-identical results for the same job list.
+    Serial and parallel runs return bit-identical results for the same
+    job list.
     """
 
     def __init__(
@@ -218,42 +194,26 @@ class Executor:
         search_config: SearchConfig | None = None,
         policy=None,
         cache: MappingCache | None = None,
-        backend: str | None = None,
-        max_pending: int | None = None,
     ) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
         self.jobs = jobs
         self.search_config = search_config
         self.policy = policy
         self.cache = cache if cache is not None else MappingCache()
-        self.backend = backend
-        self.max_pending = max_pending
-        self._service = None
-        self._service_client = None
 
     # ------------------------------------------------------------------
     def run(self, spec: "SweepSpec | Iterable[EvalJob]") -> list[EvalResult]:
         """Evaluate every job; results are returned in job order and are
-        identical whichever backend ran them."""
+        identical whether they ran serially or in the pool."""
         jobs = list(spec.jobs if isinstance(spec, SweepSpec) else spec)
         if not jobs:
             return []
-        backend = self.backend
-        if backend is None:
-            backend = "serial" if self.jobs == 1 or len(jobs) == 1 else "process"
-        if backend != "service" and (self.jobs == 1 or len(jobs) == 1):
-            backend = "serial"
+        backend = "serial" if self.jobs == 1 or len(jobs) == 1 else "process"
         with obs.span("executor.run", backend=backend, jobs=len(jobs)):
-            if backend == "service":
-                results = self._run_service(jobs)
-            elif backend == "serial":
+            if backend == "serial":
                 results = self._run_serial(jobs)
             else:
                 results = self._run_parallel(jobs)
@@ -263,49 +223,9 @@ class Executor:
             ).inc(len(jobs))
         return results
 
-    # ------------------------------------------------------------------
-    # Service backend lifecycle
-    # ------------------------------------------------------------------
-    def _run_service(self, jobs: Sequence[EvalJob]) -> list[EvalResult]:
-        if self._service is None:
-            from ..serve.cache_server import CacheClient
-            from ..serve.service import EvalService, ServiceClient
-
-            if isinstance(self.cache, CacheClient):
-                # The cache already lives behind a server: shards talk
-                # to it directly instead of starting an embedded one.
-                service = EvalService(
-                    shards=self.jobs,
-                    search_config=self.search_config,
-                    policy=self.policy,
-                    cache_address=self.cache.address,
-                    max_pending=self.max_pending,
-                )
-            else:
-                service = EvalService(
-                    shards=self.jobs,
-                    search_config=self.search_config,
-                    policy=self.policy,
-                    cache=self.cache,
-                    max_pending=self.max_pending,
-                )
-            self._service = service.start()
-            self._service_client = ServiceClient(self._service)
-        return self._service_client.run(jobs)
-
-    @property
-    def service(self):
-        """The live :class:`EvalService` of the service backend
-        (``None`` until the first ``run()``, or on other backends)."""
-        return self._service
-
     def close(self) -> None:
-        """Stop the service backend's shards and embedded cache server
-        (idempotent; other backends hold no long-lived state)."""
-        service, self._service = self._service, None
-        self._service_client = None
-        if service is not None:
-            service.stop()
+        """No-op: every run's worker pool is shut down before ``run()``
+        returns.  Kept so ``with Executor(...)`` stays valid."""
 
     def __enter__(self) -> "Executor":
         return self

@@ -84,9 +84,9 @@ class SweepSpec:
     """An ordered, enumerable collection of evaluation jobs.
 
     Job order is the specification's deterministic identity: executors
-    must return results in exactly this order, whatever backend runs
-    them.  Specs concatenate with ``+`` so heterogeneous experiments
-    (e.g. CS3's LBL baselines plus DF grids) can run as one batch.
+    must return results in exactly this order, serial or pooled.  Specs
+    concatenate with ``+`` so heterogeneous experiments (e.g. CS3's LBL
+    baselines plus DF grids) can run as one batch.
     """
 
     jobs: tuple[EvalJob, ...] = field(default_factory=tuple)

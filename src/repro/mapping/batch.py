@@ -2,7 +2,7 @@
 
 The scalar reference path (:func:`~repro.mapping.allocation.allocate` +
 :func:`~repro.mapping.zigzag.evaluate_mapping`) scores one ordering at a
-time; every DSE generation, sweep point and service job bottoms out in
+time; every DSE generation, sweep point and pool job bottoms out in
 that loop.  This module scores the *full candidate list* of one
 ``(layer, accelerator, tops)`` search problem in one set of numpy array
 operations and is selected by ``SearchConfig(engine="batch")`` — the

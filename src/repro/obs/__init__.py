@@ -16,8 +16,8 @@ Instrumented hot paths guard with ``if obs.enabled:`` — one module
 attribute read when telemetry is off, nothing else — and
 :func:`span` returns a shared no-op context manager while disabled.
 Telemetry is *identity-neutral* by contract: it never touches cost
-math, cache keys or rng streams, so serial == process == service
-bit-identity holds with tracing on (tested).
+math, cache keys or rng streams, so serial == process-pool bit-identity
+holds with tracing on (tested).
 
 Usage::
 

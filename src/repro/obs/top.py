@@ -1,12 +1,9 @@
-"""`repro top`: live fleet view over the cache server's wire ops.
+"""`repro top`: live fleet view over the cache server's ``stats`` op.
 
-The cache server already exposes everything a monitor needs — the
-``stats`` op (table counters + live load) and the ``metrics`` op
-(Prometheus exposition of the server process, which for an embedded
-server includes its :class:`~repro.serve.service.EvalService` shard
-counters).  This module polls those two ops and renders the deltas
-between consecutive samples as rates: request throughput, evaluations
-per second, per-shard utilization.
+The ``stats`` wire op already exposes everything a monitor needs (table
+counters, live load, per-op request counts).  This module polls it and
+renders the deltas between consecutive samples as rates: request
+throughput and evaluations per second.
 
 Kept free of any terminal dependency: :func:`sample_server` returns a
 plain dict and :func:`top_report` a string, so the CLI loop (and the
@@ -16,27 +13,18 @@ tests) own cursor control and timing.
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
-
-from .metrics import parse_prometheus, split_series
+from typing import Any
 
 #: Stats-op request ops that correspond to one evaluation landing in
-#: the table (used as the evals/s proxy when no service shards report).
+#: the table (the evals/s proxy).
 _PUT_OPS = ("put", "put_many")
 
 
 def sample_server(client: Any) -> dict[str, Any]:
-    """One monitoring sample: the server's ``stats`` op, its parsed
-    ``metrics`` exposition, and a monotonic timestamp for rate math.
-    ``client`` is anything with the :class:`CacheClient` control
-    surface (``server_stats()`` / ``server_metrics()``)."""
-    stats = client.server_stats()
-    exposition = client.server_metrics()["text"]
-    return {
-        "time": time.monotonic(),
-        "stats": stats,
-        "values": parse_prometheus(exposition),
-    }
+    """One monitoring sample: the server's ``stats`` op and a monotonic
+    timestamp for rate math.  ``client`` is anything with
+    :meth:`CacheClient.server_stats`."""
+    return {"time": time.monotonic(), "stats": client.server_stats()}
 
 
 def _rate(
@@ -57,62 +45,12 @@ def _fmt(value: Any, suffix: str = "") -> str:
     return f"{value}{suffix}"
 
 
-def _series_by_label(
-    values: Mapping[str, float], name: str, label: str
-) -> dict[str, float]:
-    """``{label value: sample value}`` for one metric family."""
-    out: dict[str, float] = {}
-    for series, value in values.items():
-        try:
-            metric, labels = split_series(series)
-        except ValueError:
-            continue
-        if metric == name and label in labels:
-            out[labels[label]] = value
-    return out
-
-
-def _shard_rows(
-    curr: dict[str, Any], prev: dict[str, Any] | None
-) -> list[tuple[str, float, float | None, float | None]]:
-    """Per-shard (shard, jobs, jobs/s, busy fraction) rows from the
-    service counters an embedded :class:`EvalService` exports."""
-    jobs = _series_by_label(curr["values"], "service_jobs_total", "shard")
-    if not jobs:
-        return []
-    busy = _series_by_label(
-        curr["values"], "service_exec_seconds_sum", "shard"
-    )
-    prev_jobs: dict[str, float] = {}
-    prev_busy: dict[str, float] = {}
-    dt: float | None = None
-    if prev is not None:
-        dt = curr["time"] - prev["time"]
-        prev_jobs = _series_by_label(
-            prev["values"], "service_jobs_total", "shard"
-        )
-        prev_busy = _series_by_label(
-            prev["values"], "service_exec_seconds_sum", "shard"
-        )
-    rows: list[tuple[str, float, float | None, float | None]] = []
-    for shard in sorted(jobs, key=lambda s: (len(s), s)):
-        rows.append(
-            (
-                shard,
-                jobs[shard],
-                _rate(jobs[shard], prev_jobs.get(shard), dt),
-                _rate(busy.get(shard, 0.0), prev_busy.get(shard), dt),
-            )
-        )
-    return rows
-
-
 def top_report(
     address: str, current: dict[str, Any], previous: dict[str, Any] | None = None
 ) -> str:
     """Render one refresh frame.  With a ``previous`` sample the frame
-    includes rates (requests/s, evals/s, shard utilization); the first
-    frame shows absolute counters only."""
+    includes rates (requests/s, evals/s); the first frame shows
+    absolute counters only."""
     stats = current["stats"]
     hits = stats.get("hits", 0)
     misses = stats.get("misses", 0)
@@ -138,28 +76,20 @@ def top_report(
         )
         lines.append(f"  requests  {ops}")
 
-    dt = None
-    prev_requests: dict[str, Any] = {}
     if previous is not None:
         dt = current["time"] - previous["time"]
         prev_requests = previous["stats"].get("requests", {})
-
-    shard_rows = _shard_rows(current, previous)
-    if previous is not None:
         gets = _rate(requests.get("get", 0), prev_requests.get("get"), dt)
         reqs = _rate(
             sum(requests.values()),
             sum(prev_requests.values()) if prev_requests else None,
             dt,
         )
-        if shard_rows and all(r[2] is not None for r in shard_rows):
-            evals = sum(r[2] for r in shard_rows if r[2] is not None)
-        else:
-            evals = _rate(
-                sum(requests.get(op, 0) for op in _PUT_OPS),
-                sum(prev_requests.get(op, 0) for op in _PUT_OPS),
-                dt,
-            )
+        evals = _rate(
+            sum(requests.get(op, 0) for op in _PUT_OPS),
+            sum(prev_requests.get(op, 0) for op in _PUT_OPS),
+            dt,
+        )
         lines.append(
             f"  rates     reqs/s {_fmt(reqs)}   gets/s {_fmt(gets)}"
             f"   evals/s {_fmt(evals)}   (over {_fmt(dt, 's')})"
@@ -167,12 +97,4 @@ def top_report(
     else:
         lines.append("  rates     (first sample — rates on next refresh)")
 
-    if shard_rows:
-        lines.append("")
-        lines.append("  shard      jobs    jobs/s     busy")
-        for shard, jobs, jobs_s, busy_frac in shard_rows:
-            busy = f"{busy_frac:.0%}" if busy_frac is not None else "-"
-            lines.append(
-                f"  {shard:>5}  {_fmt(jobs):>8}  {_fmt(jobs_s):>8}  {busy:>7}"
-            )
     return "\n".join(lines) + "\n"

@@ -1,30 +1,21 @@
-"""Evaluation service: a live shared-cache server and async sharded
-job execution on top of the exploration runtime.
+"""Shared cache server: one live mapping-cache table served over TCP.
 
-The batch runtime (PR 1) shares mapping-cache hits only between runs or
-at batch edges; this subsystem turns it into a long-lived service:
+* :class:`CacheServer` / :class:`CacheClient` — a mapping-cache table
+  served over TCP (JSON lines).  ``repro serve`` runs a standalone
+  server; ``--cache-server HOST:PORT`` points a run at it, so runs —
+  across processes *and* machines — read and write one table.  Periodic
+  snapshots keep the persistent JSON cache format unchanged.
 
-* :class:`CacheServer` / :class:`CacheClient` — one live mapping-cache
-  table served over TCP (JSON lines); every worker of a run reads and
-  writes it, so hits propagate *during* the run.  ``repro serve`` runs
-  a standalone server; ``--cache-server HOST:PORT`` points executors at
-  it.  Periodic snapshots keep the persistent JSON cache format
-  unchanged.
-* :class:`EvalService` — an async job queue over N worker shards with
-  in-flight dedup (identical jobs coalesce into one evaluation) and
-  optional backpressure (:class:`ServiceOverloaded`).
-* :class:`ServiceClient` — the executor-facing adapter;
-  ``Executor(jobs=N, backend="service")`` runs every batch through it
-  with results bit-identical to serial.
-
-Quick start::
+A :class:`CacheClient` is accepted anywhere a
+:class:`~repro.mapping.cache.MappingCache` is::
 
     from repro.explore import Executor, SweepSpec
+    from repro.serve import CacheClient
 
     spec = SweepSpec.tile_grid("meta_proto_like_df", "fsrcnn",
                                [(4, 4), (16, 18), (60, 72)])
-    with Executor(jobs=4, backend="service") as executor:
-        results = executor.run(spec)   # workers share cache hits live
+    with CacheClient("127.0.0.1:7000") as cache:
+        results = Executor(jobs=4, cache=cache).run(spec)
 """
 
 from .cache_server import (
@@ -35,26 +26,12 @@ from .cache_server import (
     format_address,
     parse_address,
 )
-from .service import (
-    EvalService,
-    ServiceClient,
-    ServiceError,
-    ServiceFuture,
-    ServiceOverloaded,
-    job_key,
-)
 
 __all__ = [
     "AUTH_TOKEN_ENV",
     "CacheClient",
     "CacheServer",
     "CacheServerError",
-    "EvalService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceFuture",
-    "ServiceOverloaded",
     "format_address",
-    "job_key",
     "parse_address",
 ]

@@ -2,13 +2,12 @@
 :class:`~repro.mapping.cache.MappingCache`, and a client that stands in
 for a local cache anywhere one is accepted.
 
-The exploration runtime's process backend shares cache hits only at the
-*edges* of a run (workers are pre-warmed with a snapshot and their new
-entries harvested afterwards), so two workers that draw the same
-``(layer, accelerator, tops)`` mapping inside one batch both pay for the
-LOMA search.  :class:`CacheServer` closes that window: every worker
-reads and writes one live table, so a mapping searched once is a hit for
-every other worker *during* the run.
+A process-local cache is shared only by the runs of one process (and,
+through its file, by later runs).  :class:`CacheServer` widens that to
+every run pointed at it: runs on other processes or machines read and
+write one live table, so a mapping searched once — and harvested at the
+end of the batch that searched it — is a hit for every later batch of
+every run, while those runs are still going.
 
 Protocol: newline-delimited JSON over a persistent TCP connection.  Each
 request is ``{"op": ..., ...}`` and each response ``{"ok": true, ...}``
@@ -25,6 +24,7 @@ cache file that cold runs pre-warm from.
 
 from __future__ import annotations
 
+import hmac
 import json
 import os
 import socket
@@ -52,6 +52,13 @@ AUTH_TOKEN_ENV = "REPRO_AUTH_TOKEN"
 
 class CacheServerError(RuntimeError):
     """A cache-server request failed (server-side error or lost link)."""
+
+
+def _token_matches(given: object, expected: str) -> bool:
+    """Constant-time token check; a missing or non-string token fails."""
+    return isinstance(given, str) and hmac.compare_digest(
+        given.encode(), expected.encode()
+    )
 
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
@@ -381,7 +388,9 @@ class CacheServer:
     # Request dispatch (also callable directly, e.g. in tests)
     # ------------------------------------------------------------------
     def handle_request(self, request: Mapping) -> dict:
-        if self.auth_token is not None and request.get("token") != self.auth_token:
+        if self.auth_token is not None and not _token_matches(
+            request.get("token"), self.auth_token
+        ):
             # A clean, structured rejection — never an exception, so
             # unauthenticated probes cannot distinguish ops, and every
             # op (metrics/stats included) is behind the same gate.
@@ -530,7 +539,7 @@ class CacheClient:
 
     Implements the full cache surface the engines and executors use —
     ``get``/``put`` on the hot path, ``snapshot``/``merge``/``keys``/
-    ``delta`` for the process backend's pre-warm + harvest — so a client
+    ``delta`` for the process pool's pre-warm + harvest — so a client
     can be dropped anywhere a :class:`MappingCache` is accepted (e.g.
     ``Executor(cache=CacheClient("host:1234"))``).
 
@@ -538,9 +547,8 @@ class CacheClient:
     stays within ``local_bound``, oldest-out) never requested again, so
     the server mostly sees first-touch traffic.  A *server-side* hit
     therefore always means one client benefiting from an entry another
-    client produced — the intra-run sharing the process backend cannot
-    provide.  The bound keeps long-lived clients (service shards) at
-    flat memory; an evicted key is simply re-fetched.
+    client produced.  The bound keeps long-lived clients at flat
+    memory; an evicted key is simply re-fetched.
     """
 
     #: Default capacity of the local read cache.

@@ -12,17 +12,23 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from .layer import LayerSpec
 
 
 class WorkloadGraph:
-    """A DAG of :class:`LayerSpec` nodes keyed by layer name."""
+    """A DAG of :class:`LayerSpec` nodes keyed by layer name.
+
+    Adjacency is two insertion-ordered dicts: ``_preds[name]`` and
+    ``_succs[name]`` map neighbour names to ``None`` (ordered sets), so
+    repeated inputs collapse to one edge and neighbours come back in the
+    order their edges were added.
+    """
 
     def __init__(self, name: str = "workload") -> None:
         self.name = name
-        self._graph: nx.DiGraph = nx.DiGraph()
+        self._layers: dict[str, LayerSpec] = {}
+        self._preds: dict[str, dict[str, None]] = {}
+        self._succs: dict[str, dict[str, None]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -31,28 +37,31 @@ class WorkloadGraph:
         """Add ``layer`` to the graph, consuming the outputs of ``inputs``.
 
         ``inputs`` is an iterable of existing layer names; an empty iterable
-        marks the layer as consuming the external network input.
+        marks the layer as consuming the external network input.  Inputs
+        must already be present and names are unique, so the graph stays
+        acyclic and insertion order stays topological.
         """
-        if layer.name in self._graph:
+        if layer.name in self._layers:
             raise ValueError(f"duplicate layer name {layer.name!r}")
-        self._graph.add_node(layer.name, layer=layer)
-        for src in inputs:
-            if src not in self._graph:
+        preds = dict.fromkeys(inputs)
+        for src in preds:
+            if src not in self._layers:
                 raise KeyError(f"unknown input layer {src!r} for {layer.name!r}")
-            self._graph.add_edge(src, layer.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_node(layer.name)
-            raise ValueError(f"adding {layer.name!r} would create a cycle")
+        self._layers[layer.name] = layer
+        self._preds[layer.name] = preds
+        self._succs[layer.name] = {}
+        for src in preds:
+            self._succs[src][layer.name] = None
         return layer
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._layers
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._layers)
 
     def __iter__(self) -> Iterator[LayerSpec]:
         return iter(self.topological_layers())
@@ -60,7 +69,7 @@ class WorkloadGraph:
     def layer(self, name: str) -> LayerSpec:
         """Look up a layer by name."""
         try:
-            return self._graph.nodes[name]["layer"]
+            return self._layers[name]
         except KeyError as exc:
             raise KeyError(f"no layer named {name!r} in {self.name!r}") from exc
 
@@ -74,23 +83,23 @@ class WorkloadGraph:
         ``add_layer`` only accepts already-present layers as inputs, so
         insertion order is always a valid topological order.
         """
-        return [self._graph.nodes[n]["layer"] for n in self._graph.nodes]
+        return list(self._layers.values())
 
     def predecessors(self, name: str) -> list[LayerSpec]:
         """Producing layers of ``name`` (empty for input layers)."""
-        return [self._graph.nodes[p]["layer"] for p in self._graph.predecessors(name)]
+        return [self._layers[p] for p in self._preds[name]]
 
     def successors(self, name: str) -> list[LayerSpec]:
         """Consuming layers of ``name``."""
-        return [self._graph.nodes[s]["layer"] for s in self._graph.successors(name)]
+        return [self._layers[s] for s in self._succs[name]]
 
     def is_source(self, name: str) -> bool:
         """Whether the layer consumes the external network input."""
-        return self._graph.in_degree(name) == 0
+        return not self._preds[name]
 
     def is_sink(self, name: str) -> bool:
         """Whether the layer produces a network output."""
-        return self._graph.out_degree(name) == 0
+        return not self._succs[name]
 
     def sources(self) -> list[LayerSpec]:
         """Layers consuming the external network input."""
@@ -103,8 +112,8 @@ class WorkloadGraph:
     def has_branches(self) -> bool:
         """Whether any feature map has more than one consumer or producer."""
         return any(
-            self._graph.out_degree(n) > 1 or self._graph.in_degree(n) > 1
-            for n in self._graph.nodes
+            len(self._succs[n]) > 1 or len(self._preds[n]) > 1
+            for n in self._layers
         )
 
     def subgraph(self, names: Iterable[str]) -> "WorkloadGraph":

@@ -24,10 +24,8 @@ SPACE = dict(
 CONFIG = SearchConfig(lpf_limit=5, budget=60)
 
 
-def run_dse(backend=None, jobs=1, checkpoint=None):
-    with Executor(
-        jobs=jobs, search_config=CONFIG, backend=backend
-    ) as executor:
+def run_dse(jobs=1, checkpoint=None):
+    with Executor(jobs=jobs, search_config=CONFIG) as executor:
         runner = DSERunner(
             DesignSpace(**SPACE),
             "fsrcnn",
@@ -50,7 +48,7 @@ class TestForkMerge:
         """The fork-merge satellite: worker shards run with clean
         registries and their LOMA counters land in the parent."""
         obs.enable()  # metrics-only
-        run_dse(backend="process", jobs=2)
+        run_dse(jobs=2)
         registry = obs.metrics()
         # The searches happened in worker processes, yet the parent
         # registry sees them via the harvest/absorb round trip.
@@ -63,19 +61,19 @@ class TestForkMerge:
         assert registry.value("dse_generations_total") == 1
 
     def test_disabled_parent_ships_nothing(self):
-        run_dse(backend="process", jobs=2)
+        run_dse(jobs=2)
         assert len(obs.metrics()) == 0
 
 
 class TestIdentity:
-    def test_tracing_on_service_matches_telemetry_off_serial(self, tmp_path):
+    def test_tracing_on_pool_matches_telemetry_off_serial(self, tmp_path):
         """The acceptance contract: serial with telemetry off and the
-        service backend with tracing on produce bit-identical frontiers."""
+        process pool with tracing on produce bit-identical frontiers."""
         baseline = run_dse()
         assert not obs.enabled
 
         obs.enable(trace=tmp_path / "t.jsonl")
-        traced = run_dse(backend="service", jobs=2)
+        traced = run_dse(jobs=2)
         obs.disable()
 
         assert frontier_key(traced) == frontier_key(baseline)

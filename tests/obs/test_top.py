@@ -1,24 +1,19 @@
-"""`repro top` rendering: samples, rate math, shard rows (no sockets —
+"""`repro top` rendering: samples and rate math (no sockets —
 the wire integration lives in tests/serve/test_http_metrics.py)."""
 
 from __future__ import annotations
 
 from repro.obs import top
-from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClient:
     """The CacheClient control surface `sample_server` needs."""
 
-    def __init__(self, stats, exposition):
+    def __init__(self, stats):
         self.stats = stats
-        self.exposition = exposition
 
     def server_stats(self):
         return dict(self.stats)
-
-    def server_metrics(self):
-        return {"text": self.exposition}
 
 
 def make_sample(
@@ -26,15 +21,8 @@ def make_sample(
     hits=30,
     misses=10,
     requests=None,
-    shards=None,
 ):
     """Build a sample like `sample_server` would, at a pinned time."""
-    reg = MetricsRegistry()
-    for shard, (jobs, busy) in (shards or {}).items():
-        reg.counter("service_jobs_total", shard=shard).inc(jobs)
-        hist = reg.histogram("service_exec_seconds", shard=shard)
-        hist.total = busy
-        hist.count = jobs
     stats = {
         "size": 100,
         "hits": hits,
@@ -46,7 +34,7 @@ def make_sample(
         "unauthorized": 0,
         "requests": requests or {"get": hits + misses, "put": 7},
     }
-    client = FakeClient(stats, reg.render_prometheus())
+    client = FakeClient(stats)
     sample = top.sample_server(client)
     sample["time"] = t  # pin for deterministic rate math
     return sample
@@ -54,13 +42,17 @@ def make_sample(
 
 class TestSampleServer:
     def test_sample_shape(self):
-        sample = make_sample(shards={"0": (10, 0.5)})
+        sample = make_sample()
         assert sample["stats"]["hits"] == 30
-        assert 'service_jobs_total{shard="0"}' in sample["values"]
+        assert set(sample) == {"time", "stats"}
 
-    def test_sample_parses_exposition_values(self):
-        sample = make_sample(shards={"0": (12, 0.5)})
-        assert sample["values"]['service_jobs_total{shard="0"}'] == 12.0
+    def test_sample_polls_only_the_stats_op(self):
+        class StatsOnlyClient(FakeClient):
+            def __getattr__(self, name):
+                raise AssertionError(f"sample_server used {name!r}")
+
+        sample = top.sample_server(StatsOnlyClient({"size": 1}))
+        assert sample["stats"] == {"size": 1}
 
 
 class TestTopReport:
@@ -79,26 +71,27 @@ class TestTopReport:
         # get requests went 40 -> 80 over 2s: 20 gets/s.
         frame = top.top_report("host:9", curr, prev)
         assert "gets/s 20.0" in frame
-        # puts unchanged: evals/s proxy is 0 without shard counters.
+        # puts unchanged: the evals/s proxy is 0.
         assert "evals/s 0.0" in frame
 
-    def test_shard_table_and_busy_fraction(self):
-        prev = make_sample(t=0.0, shards={"0": (10, 1.0), "1": (20, 2.0)})
-        curr = make_sample(t=2.0, shards={"0": (20, 2.0), "1": (24, 3.0)})
+    def test_evals_rate_counts_put_ops(self):
+        prev = make_sample(t=0.0, requests={"get": 10, "put": 4, "put_many": 1})
+        curr = make_sample(t=2.0, requests={"get": 10, "put": 10, "put_many": 5})
+        # put + put_many went 5 -> 15 over 2s: 5 evals/s.
         frame = top.top_report("host:9", curr, prev)
-        assert "shard" in frame
-        # Shard 0: +10 jobs / 2s = 5 jobs/s, +1.0s busy / 2s = 50%.
-        assert "5.0" in frame and "50%" in frame
-        # evals/s comes from the shard job rates: 5 + 2 = 7/s.
-        assert "evals/s 7.0" in frame
+        assert "evals/s 5.0" in frame
+
+    def test_reqs_rate_sums_every_op(self):
+        prev = make_sample(t=0.0, requests={"get": 10, "put": 4, "stats": 2})
+        curr = make_sample(t=4.0, requests={"get": 20, "put": 8, "stats": 4})
+        # 16 -> 32 requests of any op over 4s: 4 reqs/s.
+        frame = top.top_report("host:9", curr, prev)
+        assert "reqs/s 4.0" in frame
+        assert "requests  get 20   put 8   stats 4" in frame
 
     def test_zero_lookups_renders_dash(self):
         frame = top.top_report("host:9", make_sample(hits=0, misses=0))
         assert "hit rate -" in frame
-
-    def test_no_shards_no_table(self):
-        frame = top.top_report("host:9", make_sample())
-        assert "shard " not in frame
 
     def test_rate_guards(self):
         assert top._rate(10.0, None, 1.0) is None

@@ -50,6 +50,24 @@ class TestAuth:
         assert response["ok"] is False
         assert response["unauthorized"] is True
 
+    @pytest.mark.parametrize(
+        "token", [None, 123, ["tok-123"], TOKEN[:-1], TOKEN + "4", "tök-123"]
+    )
+    def test_malformed_or_near_miss_tokens_rejected(self, auth_server, token):
+        """Non-string, prefix, extension and non-ASCII tokens all get
+        the structured rejection, never a server-side exception."""
+        response = raw_request(
+            auth_server.address, {"op": "ping", "token": token}
+        )
+        assert response["ok"] is False
+        assert response["unauthorized"] is True
+
+    def test_correct_token_accepted_raw(self, auth_server):
+        response = raw_request(
+            auth_server.address, {"op": "ping", "token": TOKEN}
+        )
+        assert response["ok"] is True
+
     def test_client_without_token_fails_fast(self, auth_server):
         with pytest.raises(CacheServerError, match="authentication failed"):
             CacheClient(auth_server.address)

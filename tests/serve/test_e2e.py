@@ -1,13 +1,17 @@
-"""End-to-end: a multi-workload DSE run through the evaluation service
-is bit-identical to serial, with workers sharing cache hits mid-run."""
+"""End-to-end: a multi-workload DSE run on the process pool is
+bit-identical to serial, with a local cache and with a
+:class:`CacheClient` against a real ``repro serve`` subprocess."""
 
 import pytest
 
 from repro import WorkloadBuilder
 from repro.core.strategy import OverlapMode
 from repro.dse import DesignSpace, DSERunner, Scenario, WeightedWorkload
-from repro.explore import Executor
+from repro.explore import Executor, MappingCache, SweepSpec
 from repro.mapping import SearchConfig
+from repro.serve import CacheClient, CacheServer
+
+from ..conftest import make_tiny_workload
 
 OBJECTIVES = ("energy", "latency")
 
@@ -54,31 +58,29 @@ def run_dse(space, scenario, executor, seed=3):
     return runner.run("exhaustive")
 
 
-class TestServiceBitIdentity:
-    def test_multi_workload_dse_through_service(self, space, scenario, config):
-        serial = run_dse(space, scenario, Executor(jobs=1, search_config=config))
-        with Executor(jobs=2, backend="service", search_config=config) as ex:
-            served = run_dse(space, scenario, ex)
-            stats = ex.service.stats()
+def assert_same_dse(result, reference):
+    # Bit-identical outcome: same frontier (same encoding, same order),
+    # same per-generation stats, same hypervolume numbers.
+    assert result.frontier.to_json() == reference.frontier.to_json()
+    assert [s.to_json() for s in result.generations] == [
+        s.to_json() for s in reference.generations
+    ]
+    assert result.evaluations == reference.evaluations
 
-        # Bit-identical outcome: same frontier (same encoding, same
-        # order), same per-generation stats, same hypervolume numbers.
-        assert served.frontier.to_json() == serial.frontier.to_json()
-        assert [s.to_json() for s in served.generations] == [
-            s.to_json() for s in serial.generations
-        ]
-        assert served.evaluations == serial.evaluations
 
-        # The acceptance bar for the live cache: at least one worker
-        # was served an entry another worker produced *during* the run.
-        # (A shard's client never re-requests keys it put or fetched,
-        # so every server-side hit is a cross-worker share; the cache
-        # started cold, so none of them came from a pre-warm.)
-        assert stats["cache"]["hits"] >= 1
+@pytest.fixture(scope="module")
+def serial_dse(space, scenario, config):
+    return run_dse(space, scenario, Executor(jobs=1, search_config=config))
 
-    def test_genetic_dse_through_service_matches_serial(
-        self, space, scenario, config
-    ):
+
+class TestPoolBitIdentity:
+    def test_multi_workload_dse_on_pool(self, space, scenario, config, serial_dse):
+        with Executor(jobs=2, search_config=config) as ex:
+            pooled = run_dse(space, scenario, ex)
+        assert_same_dse(pooled, serial_dse)
+        assert len(ex.cache) > 0  # worker entries harvested back
+
+    def test_genetic_dse_on_pool_matches_serial(self, space, scenario, config):
         from repro.dse import GeneticSearch
 
         def strategy():
@@ -91,11 +93,56 @@ class TestServiceBitIdentity:
             executor=Executor(jobs=1, search_config=config),
             seed=11,
         ).run(strategy())
-        with Executor(jobs=3, backend="service", search_config=config) as ex:
-            served = DSERunner(
+        with Executor(jobs=2, search_config=config) as ex:
+            pooled = DSERunner(
                 space, scenario, objectives=OBJECTIVES, executor=ex, seed=11
             ).run(strategy())
-        assert served.frontier.to_json() == serial.frontier.to_json()
-        assert [s.to_json() for s in served.generations] == [
-            s.to_json() for s in serial.generations
-        ]
+        assert_same_dse(pooled, serial)
+
+
+class TestCacheServerBitIdentity:
+    def test_pool_against_repro_serve(
+        self, space, scenario, config, serial_dse, serve_proc
+    ):
+        """``--cache-server`` semantics: the pool pre-warms from and
+        harvests into a standalone server's table; a second, serial run
+        against the same server is served entirely remotely."""
+        proc, address = serve_proc
+        with CacheClient(address) as client:
+            pooled = run_dse(
+                space, scenario, Executor(jobs=2, search_config=config, cache=client)
+            )
+            assert len(client) > 0  # the server's table filled
+        assert_same_dse(pooled, serial_dse)
+
+        with CacheClient(address) as warm_client:
+            warm = run_dse(
+                space,
+                scenario,
+                Executor(jobs=1, search_config=config, cache=warm_client),
+            )
+            assert warm_client.misses == 0
+            warm_client.shutdown_server()
+        assert_same_dse(warm, serial_dse)
+        proc.wait(timeout=30)
+        assert proc.returncode == 0
+
+    def test_process_backend_through_cache_client(self, config):
+        """The process pool pre-warms from and harvests back to a
+        *remote* cache when its handle is a CacheClient."""
+        spec = SweepSpec.tile_grid(
+            "meta_proto_like_df",
+            make_tiny_workload(),
+            ((4, 4), (16, 16)),
+            (OverlapMode.FULLY_CACHED,),
+        )
+        shared = MappingCache()
+        with CacheServer(cache=shared) as srv:
+            with CacheClient(srv.address) as client:
+                results = Executor(jobs=2, search_config=config, cache=client).run(
+                    spec
+                )
+            assert len(shared) > 0  # harvest merged into the server
+        serial = Executor(jobs=1, search_config=config).run(spec)
+        for s, p in zip(serial, results):
+            assert s.result.total == p.result.total

@@ -634,7 +634,7 @@ class TestCacheServerOptions:
         assert "best (energy)" in out
 
 
-class TestDseServiceAndReference:
+class TestDseParallelAndReference:
     DSE_ARGS = [
         "dse",
         "--workload", "mobilenet_v1",
@@ -647,25 +647,18 @@ class TestDseServiceAndReference:
         "--lpf-limit", "5",
     ]
 
-    def test_dse_through_service_backend_matches_serial(self, tmp_path, capsys):
+    def test_dse_on_process_pool_matches_serial(self, tmp_path, capsys):
         serial_out = tmp_path / "serial.json"
-        service_out = tmp_path / "service.json"
+        pooled_out = tmp_path / "pooled.json"
         assert main(self.DSE_ARGS + ["--output", str(serial_out)]) == 0
         assert (
-            main(
-                self.DSE_ARGS
-                + [
-                    "--backend", "service",
-                    "--jobs", "2",
-                    "--output", str(service_out),
-                ]
-            )
+            main(self.DSE_ARGS + ["--jobs", "2", "--output", str(pooled_out)])
             == 0
         )
         serial = json.loads(serial_out.read_text())
-        served = json.loads(service_out.read_text())
-        assert served["frontier"] == serial["frontier"]
-        assert served["generations"] == serial["generations"]
+        pooled = json.loads(pooled_out.read_text())
+        assert pooled["frontier"] == serial["frontier"]
+        assert pooled["generations"] == serial["generations"]
 
     def test_reference_tracking_prints_epsilon(self, tmp_path, capsys):
         reference = tmp_path / "ref.json"

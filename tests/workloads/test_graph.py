@@ -28,6 +28,22 @@ class TestConstruction:
         with pytest.raises(KeyError):
             chain.add_layer(layer("d"), ["nope"])
 
+    def test_rejected_layer_leaves_graph_unchanged(self, chain):
+        with pytest.raises(KeyError):
+            chain.add_layer(layer("d"), ["a", "nope"])
+        assert "d" not in chain
+        assert [l.name for l in chain.successors("a")] == ["b"]
+
+    def test_self_input_rejected(self, chain):
+        with pytest.raises(KeyError):
+            chain.add_layer(layer("d"), ["d"])
+
+    def test_repeated_inputs_collapse_to_one_edge(self, chain):
+        chain.add_layer(layer("d"), ["c", "a", "c"])
+        assert [l.name for l in chain.predecessors("d")] == ["c", "a"]
+        assert [l.name for l in chain.successors("c")] == ["d"]
+        assert chain.has_branches()  # "d" joins two producers
+
     def test_lookup(self, chain):
         assert chain.layer("b").name == "b"
         with pytest.raises(KeyError):
@@ -49,6 +65,19 @@ class TestTopology:
     def test_predecessors_successors(self, chain):
         assert [l.name for l in chain.predecessors("b")] == ["a"]
         assert [l.name for l in chain.successors("b")] == ["c"]
+
+    def test_neighbour_order_follows_edge_insertion(self):
+        g = WorkloadGraph("diamond")
+        for name, inputs in (
+            ("a", []),
+            ("c", ["a"]),
+            ("b", ["a"]),
+            ("d", ["b", "c"]),
+        ):
+            g.add_layer(layer(name), inputs)
+        assert [l.name for l in g.successors("a")] == ["c", "b"]
+        assert [l.name for l in g.predecessors("d")] == ["b", "c"]
+        assert [l.name for l in g.sinks()] == ["d"]
 
     def test_no_branches_in_chain(self, chain):
         assert not chain.has_branches()
