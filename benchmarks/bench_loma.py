@@ -1,17 +1,18 @@
-"""LOMA hot-path throughput: batch vs. scalar mapping engine.
+"""LOMA hot-path throughput: batch vs. scalar mapping scorer.
 
-Measures candidate orderings scored per second by the vectorized batch
-engine (``SearchConfig(engine="batch")``) and the pure-python scalar
-reference on cold-cache single-layer searches, and writes the blessed
-numbers to ``BENCH_loma.json`` at the repo root.  Regenerate with::
+Measures candidate orderings scored per second by
+``MappingSearchEngine.search`` (the vectorized batch scorer) and by the
+pure-python scalar reference scorer on cold-cache single-layer
+searches, and writes the blessed numbers to ``BENCH_loma.json`` at the
+repo root.  Regenerate with::
 
     python -m benchmarks.bench_loma            # quick workload set
     REPRO_FULL=1 python -m benchmarks.bench_loma
 
 The run is deterministic: candidate enumeration is a fixed-seed
 (deterministic ``islice``) sample of the permutation space, and both
-engines score the *same* candidate list — the speedup column compares
-identical work.  Under pytest, the smoke tests assert the batch engine's
+scorers score the *same* candidate list — the speedup column compares
+identical work.  Under pytest, the smoke tests assert the batch scorer's
 advantage (>= 3x) and bit-identical results on one workload.
 """
 
@@ -26,8 +27,10 @@ if __package__ in (None, ""):  # `python benchmarks/bench_loma.py`
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import get_accelerator, get_workload
-from repro.mapping import MappingSearchEngine, SearchConfig
+from repro.mapping import MappingSearchEngine, SearchConfig, lpf_decompose
 from repro.mapping.cache import encode_search_result
+from repro.mapping.loma import candidate_orderings
+from repro.mapping.temporal import temporal_sizes
 
 #: Where the blessed numbers live (checked in; CI's bench-smoke job
 #: expects a regeneration whenever src/repro/mapping/ changes).
@@ -50,18 +53,36 @@ LPF_LIMIT = 6
 BUDGET = 400
 
 
+def scalar_search(layer, accel, config: SearchConfig):
+    """The scalar reference scorer on the candidate list ``search()``
+    scores, under the full hierarchy."""
+    loops = lpf_decompose(temporal_sizes(layer, accel), config.lpf_limit)
+    tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
+    return MappingSearchEngine(config)._search_scalar(
+        layer,
+        accel,
+        tops,
+        candidate_orderings(loops, config.budget),
+        config.objective,
+    )
+
+
 def measure_point(
-    workload_name: str, accel_name: str, engine: str
+    workload_name: str, accel_name: str, scorer: str
 ) -> dict[str, float]:
     """Cold-cache search over every layer; returns orderings/s."""
     accel = get_accelerator(accel_name)
     layers = get_workload(workload_name).layers()
-    config = SearchConfig(lpf_limit=LPF_LIMIT, budget=BUDGET, engine=engine)
+    config = SearchConfig(lpf_limit=LPF_LIMIT, budget=BUDGET)
     orderings = 0
     start = time.perf_counter()
     for layer in layers:
-        searcher = MappingSearchEngine(config)  # fresh cache: cold path
-        orderings += searcher.search(layer, accel).evaluated
+        if scorer == "scalar":
+            result = scalar_search(layer, accel, config)
+        else:
+            # a fresh engine has an empty cache: the cold path
+            result = MappingSearchEngine(config).search(layer, accel)
+        orderings += result.evaluated
     elapsed = time.perf_counter() - start
     return {
         "orderings": orderings,
@@ -74,8 +95,8 @@ def run(points=QUICK_POINTS) -> dict:
     rows = []
     for workload_name, accel_name in points:
         row: dict = {"workload": workload_name, "accelerator": accel_name}
-        for engine in ("scalar", "batch"):
-            row[engine] = measure_point(workload_name, accel_name, engine)
+        for scorer in ("scalar", "batch"):
+            row[scorer] = measure_point(workload_name, accel_name, scorer)
         row["speedup"] = (
             row["batch"]["orderings_per_s"] / row["scalar"]["orderings_per_s"]
         )
@@ -83,7 +104,7 @@ def run(points=QUICK_POINTS) -> dict:
     return {
         "benchmark": "loma-ordering-throughput",
         "config": {"lpf_limit": LPF_LIMIT, "budget": BUDGET, "cache": "cold"},
-        "note": "deterministic candidate sample; both engines score the "
+        "note": "deterministic candidate sample; both scorers score the "
         "same orderings, so speedup compares identical work",
         "points": rows,
     }
@@ -98,7 +119,7 @@ def write_results(results: dict, path: Path = RESULT_PATH) -> Path:
 # CI smoke tests
 # ----------------------------------------------------------------------
 def test_batch_speedup_smoke():
-    """The batch engine must score orderings >= 3x faster than scalar on
+    """The batch scorer must score orderings >= 3x faster than scalar on
     the CI smoke point (locally it is typically 20-40x)."""
     workload_name, accel_name = QUICK_POINTS[0]
     scalar = measure_point(workload_name, accel_name, "scalar")
@@ -106,25 +127,21 @@ def test_batch_speedup_smoke():
     speedup = batch["orderings_per_s"] / scalar["orderings_per_s"]
     assert batch["orderings"] == scalar["orderings"]
     assert speedup >= 3.0, (
-        f"batch engine only {speedup:.1f}x scalar "
+        f"batch scorer only {speedup:.1f}x scalar "
         f"({batch['orderings_per_s']:.0f} vs "
         f"{scalar['orderings_per_s']:.0f} orderings/s)"
     )
 
 
-def test_engines_bit_identical_smoke():
+def test_scorers_bit_identical_smoke():
     """Spot parity check on the smoke point (the exhaustive suite lives
     in tests/mapping/test_batch.py)."""
     workload_name, accel_name = QUICK_POINTS[0]
     accel = get_accelerator(accel_name)
-    config = dict(lpf_limit=LPF_LIMIT, budget=BUDGET)
+    config = SearchConfig(lpf_limit=LPF_LIMIT, budget=BUDGET)
     for layer in get_workload(workload_name).layers():
-        batch = MappingSearchEngine(
-            SearchConfig(engine="batch", **config)
-        ).search(layer, accel)
-        scalar = MappingSearchEngine(
-            SearchConfig(engine="scalar", **config)
-        ).search(layer, accel)
+        batch = MappingSearchEngine(config).search(layer, accel)
+        scalar = scalar_search(layer, accel, config)
         assert encode_search_result(batch) == encode_search_result(scalar)
         assert batch.evaluated == scalar.evaluated
 

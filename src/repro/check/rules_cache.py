@@ -3,9 +3,9 @@
 The mapping cache, DSE checkpoints and golden fixtures are keyed by
 serialized config objects.  A config field that affects results but is
 missing from the class's token method silently aliases distinct
-configurations onto one cache entry — the bug class PR 6 dodged by
-*deliberately* excluding ``SearchConfig.engine`` (the engines are
-bit-identical, so the exclusion is sound, but it must be explicit).
+configurations onto one cache entry.  A field may be left out only
+when it provably cannot change results, and that exclusion must be
+explicit.
 
 These rules generalize that audit: every field of a class listed in
 :data:`TOKEN_CONTRACTS` must either be referenced by its token method

@@ -120,7 +120,7 @@ from .dse import (
 )
 from .explore import Executor, MappingCache, SweepSpec
 from .hardware.zoo import ACCELERATOR_FACTORIES, get_accelerator
-from .mapping import ENGINES, OBJECTIVE_NAMES, SearchConfig, validate_objectives
+from .mapping import OBJECTIVE_NAMES, SearchConfig, validate_objectives
 from .mapping.cache import cache_file_info
 from .obs import ledger, parse_prometheus, regress
 from .obs import top as obs_top
@@ -317,18 +317,6 @@ def _loss_fraction(text: str) -> float:
     return value
 
 
-def _sample_fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.0 < value <= 1.0):
-        raise argparse.ArgumentTypeError(
-            f"sample fraction must be in (0, 1], got {text!r}"
-        )
-    return value
-
-
 def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by every evaluating subcommand: parallelism,
     persistent cache, LOMA search knobs, and the seed every randomized
@@ -366,14 +354,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         help="temporal-mapping orderings evaluated per layer-tile",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="mapping-search engine: 'batch' scores all orderings in "
-        "numpy array ops, 'scalar' is the pure-python reference; "
-        "results are bit-identical (see README)",
-    )
-    parser.add_argument(
         "--seed",
         type=_seed,
         default=0,
@@ -394,14 +374,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         metavar="OUT.prom",
         help="write run metrics on exit: Prometheus text exposition, or "
         "the registry JSON dump when the path ends in .json",
-    )
-    parser.add_argument(
-        "--trace-sample",
-        type=_sample_fraction,
-        default=1.0,
-        metavar="FRACTION",
-        help="fraction of root spans kept in the trace (deterministic "
-        "counter rule, no rng; default: 1.0 = keep everything)",
     )
     parser.add_argument(
         "--runs-dir",
@@ -458,7 +430,7 @@ def _setup_obs(args) -> None:
     (metrics-only mode when only ``--metrics`` is given)."""
     if args.trace is None and args.metrics is None:
         return
-    obs.enable(trace=args.trace, sample=args.trace_sample)
+    obs.enable(trace=args.trace)
 
 
 def _finish_obs(args) -> None:
@@ -475,10 +447,9 @@ def _finish_obs(args) -> None:
         print(f"wrote {args.metrics} ({len(registry)} series)")
     tracer = obs.tracer()
     if tracer is not None:
-        written, dropped = tracer.spans_written, tracer.spans_dropped
+        written = tracer.spans_written
         obs.disable()  # closes the trace file before we report it
-        note = f" ({dropped} sampled out)" if dropped else ""
-        print(f"wrote {args.trace} ({written} span(s){note})")
+        print(f"wrote {args.trace} ({written} span(s))")
     obs.reset()
 
 
@@ -490,7 +461,6 @@ def _begin_ledger(command: str, argv, args, **manifest) -> "ledger.RunHandle | N
         return None
     manifest.update(
         seed=args.seed,
-        engine=args.engine,
         jobs=args.jobs,
         budget=args.budget,
         lpf_limit=args.lpf_limit,
@@ -629,9 +599,7 @@ def run_evaluate(argv: Sequence[str]) -> int:
     accel = get_accelerator(args.accelerator)
     workload = get_workload(args.workload)
     mode = _resolve_mode(args.mode)
-    config = SearchConfig(
-        lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
-    )
+    config = SearchConfig(lpf_limit=args.lpf_limit, budget=args.budget)
     handle = _begin_ledger(
         "evaluate",
         argv,
@@ -986,9 +954,7 @@ def run_dse(argv: Sequence[str]) -> int:
         except ValueError as exc:
             raise SystemExit(str(exc))
 
-    config = SearchConfig(
-        lpf_limit=args.lpf_limit, budget=args.budget, engine=args.engine
-    )
+    config = SearchConfig(lpf_limit=args.lpf_limit, budget=args.budget)
     workload_label = (
         workload.describe() if isinstance(workload, Scenario) else workload
     )

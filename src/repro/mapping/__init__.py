@@ -12,7 +12,7 @@ from .cost import (
     resolve_objective,
     validate_objectives,
 )
-from .loma import ENGINES, MappingSearchEngine, SearchConfig, SearchResult
+from .loma import MappingSearchEngine, SearchConfig, SearchResult
 from .loops import (
     Loop,
     count_multiset_permutations,
@@ -35,7 +35,6 @@ __all__ = [
     "BatchEvaluation",
     "BatchFallback",
     "evaluate_candidates",
-    "ENGINES",
     "MappingCache",
     "CostResult",
     "Traffic",

@@ -5,9 +5,10 @@ The scalar reference path (:func:`~repro.mapping.allocation.allocate` +
 time; every DSE generation, sweep point and pool job bottoms out in
 that loop.  This module scores the *full candidate list* of one
 ``(layer, accelerator, tops)`` search problem in one set of numpy array
-operations and is selected by ``SearchConfig(engine="batch")`` — the
-default.  See DESIGN.md §2.2 for the axis-by-axis mapping to the §2.1
-cost formulas; the layout in brief:
+operations; it is the only production scorer of
+:meth:`~repro.mapping.loma.MappingSearchEngine.search`.  See DESIGN.md
+§2.2 for the axis-by-axis mapping to the §2.1 cost formulas; the layout
+in brief:
 
 * axis 0 — the candidate (ordering) index, leading axis of every array;
 * axis 1 — the loop-prefix position ``p`` (0..n): cumulative dimension
@@ -20,14 +21,15 @@ The greedy boundary placement of ``allocate`` (walk outwards until the
 level's capacity is exhausted) becomes a prefix scan: a boundary is the
 length of the leading all-true run of ``resident[p] <= available``,
 computed with a boolean cumulative product.  Stationarity credits use
-the same scan over operand-irrelevant loop runs.  Candidates whose
-multiset does not fit the truncated hierarchy are *masked out* in
-:attr:`BatchEvaluation.feasible` instead of raising per ordering.
+the same scan over operand-irrelevant loop runs.  Whether the multiset
+fits the truncated hierarchy at all does not depend on the ordering, so
+the caller decides it once (phase 1) before scoring: every candidate
+here is feasible.
 
 **Bit-identity contract.**  Every float the scalar path produces is
 reproduced exactly: array expressions mirror the scalar expressions
 operation-for-operation (same association, same accumulation order), and
-integer quantities stay exact because the engine falls back to the
+integer quantities stay exact because the search falls back to the
 scalar reference (:class:`BatchFallback`) whenever a count could cross
 2**53, where float64 rounding could diverge from Python's arbitrary-
 precision ints.  The property suite in ``tests/mapping/test_batch.py``
@@ -39,19 +41,11 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-try:  # gated: the scalar engine keeps working without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    np = None
+import numpy as np
 
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
-from .allocation import (
-    PRIORITY,
-    AllocationError,
-    active_operands,
-    reserve_top_levels,
-)
+from .allocation import PRIORITY, active_operands, reserve_top_levels
 from .cost import CostResult, TrafficKey, resolve_objective
 from .loops import Loop
 from .temporal import (
@@ -68,27 +62,14 @@ from .zigzag import spatial_relevant
 
 #: Largest integer exactly representable as a float64; counts at or
 #: beyond it could round differently than Python ints, so the batch
-#: engine refuses (falls back to scalar) rather than risk divergence.
+#: scorer refuses (falls back to scalar) rather than risk divergence.
 _EXACT = float(1 << 53)
-
-#: Error raised when numpy is missing but the batch engine is selected.
-NUMPY_ERROR = (
-    "numpy (>=1.22) is required by the batched mapping engine, the default "
-    "SearchConfig.engine='batch'; install it, or select the pure-python "
-    "reference path with SearchConfig(engine=\"scalar\") "
-    "(or `--engine scalar` on the CLI)"
-)
 
 
 class BatchFallback(Exception):
     """The vectorized path cannot guarantee bit-identical floats for this
     problem (a count could cross 2**53); callers run the scalar
-    reference engine instead — correctness is never at stake."""
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise RuntimeError(NUMPY_ERROR)
+    reference scorer instead — correctness is never at stake."""
 
 
 class BatchEvaluation:
@@ -99,7 +80,6 @@ class BatchEvaluation:
     ``(reads, writes, energy)`` triple of ``(C,)`` arrays keyed exactly
     like the scalar :class:`~repro.mapping.cost.CostResult` (and in the
     same insertion order, so summed objectives accumulate identically).
-    :attr:`feasible` masks orderings that do not allocate.
     """
 
     def __init__(
@@ -108,7 +88,6 @@ class BatchEvaluation:
         accel: Accelerator,
         tops: Mapping[str, int],
         candidates: Sequence[tuple[Loop, ...]],
-        feasible,
         boundaries: Mapping[str, object],
         latency,
         traffic: Mapping[TrafficKey, tuple],
@@ -120,7 +99,6 @@ class BatchEvaluation:
         self.accel = accel
         self.tops = dict(tops)
         self.candidates = list(candidates)
-        self.feasible = feasible
         self.boundaries = boundaries
         self.latency = latency
         self.traffic = traffic
@@ -131,13 +109,8 @@ class BatchEvaluation:
     # ------------------------------------------------------------------
     @property
     def count(self) -> int:
-        """Number of candidate orderings (feasible or not)."""
+        """Number of candidate orderings, all of them scored."""
         return len(self.candidates)
-
-    @property
-    def evaluated(self) -> int:
-        """Number of feasible (scored) orderings."""
-        return int(self.feasible.sum())
 
     # ------------------------------------------------------------------
     def mapping(self, index: int) -> TemporalMapping:
@@ -180,20 +153,16 @@ class BatchEvaluation:
             arr = np.full(self.count, float(arr))
         return arr
 
-    def best_index(self, objective) -> int | None:
-        """Index of the winning feasible candidate, or ``None``.
+    def best_index(self, objective) -> int:
+        """Index of the winning candidate.
 
         Replicates the scalar scan exactly: first strictly-smaller score
         wins, so ties keep the earliest candidate.
         """
-        if not self.evaluated:
-            return None
         s = self.scores(objective)
-        best: int | None = None
-        for i in range(self.count):
-            if not self.feasible[i]:
-                continue
-            if best is None or s[i] < s[best]:
+        best = 0
+        for i in range(1, self.count):
+            if s[i] < s[best]:
                 best = i
         return best
 
@@ -261,12 +230,13 @@ def evaluate_candidates(
     """Allocate and score every candidate ordering in array operations.
 
     All candidates must permute one loop multiset (LOMA's enumeration
-    guarantees this), which makes the full-footprint feasibility check
-    and all total products candidate-independent.  Raises
-    :class:`BatchFallback` when exact float reproduction cannot be
-    guaranteed and ``RuntimeError`` when numpy is unavailable.
+    guarantees this), which makes the full-footprint reservation and all
+    total products candidate-independent.  The multiset must fit
+    ``tops`` (the caller checks phase 1 first); otherwise phase 1's
+    :class:`~repro.mapping.allocation.AllocationError` propagates.
+    Raises :class:`BatchFallback` when exact float reproduction cannot
+    be guaranteed.
     """
-    _require_numpy()
     candidates = list(candidates)
     if not candidates:
         raise ValueError("no candidate orderings to evaluate")
@@ -299,17 +269,7 @@ def evaluate_candidates(
     # ------------------------------------------------------------------
     # Phase 1: full-footprint reservation (candidate-independent).
     # ------------------------------------------------------------------
-    try:
-        used0 = reserve_top_levels(layer, accel, tops, candidates[0], spatial)
-    except AllocationError:
-        return BatchEvaluation(
-            layer, accel, tops, candidates,
-            feasible=np.zeros(count, dtype=bool),
-            boundaries={}, latency=np.zeros(count), traffic={},
-            mac_count=layer.mac_count,
-            mac_energy_pj=layer.mac_count * accel.mac_energy_pj,
-            compute_cycles=total_iter,
-        )
+    used0 = reserve_top_levels(layer, accel, tops, candidates[0], spatial)
 
     # ------------------------------------------------------------------
     # Candidate tensors: P[c, p, d], PF[c, p], suffix[c, p].
@@ -513,7 +473,6 @@ def evaluate_candidates(
 
     return BatchEvaluation(
         layer, accel, tops, candidates,
-        feasible=np.ones(count, dtype=bool),
         boundaries=boundaries,
         latency=latency,
         traffic={key: tuple(arrays) for key, arrays in traffic.items()},

@@ -12,8 +12,12 @@ This module reimplements that search with two pragmatic additions:
   stationary flavors) always evaluated in addition, so a tight budget can
   never miss the classic dataflows entirely.
 
-Results are memoized: DeFiNES evaluates identical layer-tile shapes many
-times across tile types and sweep points.
+Each search scores its whole candidate list in one batch
+(:mod:`repro.mapping.batch`); the scalar loop, one ordering at a
+time, is the bit-identical reference and the automatic fallback when the
+batch cannot guarantee exact floats.  Results are memoized: DeFiNES
+evaluates identical layer-tile shapes many times across tile types and
+sweep points.
 """
 
 from __future__ import annotations
@@ -25,15 +29,12 @@ from typing import TYPE_CHECKING, Hashable, Mapping
 from .. import obs
 from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
-from .allocation import AllocationError, allocate
+from .allocation import AllocationError, allocate, reserve_top_levels
 from .batch import BatchFallback, evaluate_candidates
 from .cost import CostResult, Objective, resolve_objective
 from .loops import Loop, lpf_decompose, multiset_permutations
-from .temporal import TemporalMapping, temporal_sizes
+from .temporal import TemporalMapping, temporal_sizes, utilized_spatial
 from .zigzag import evaluate_mapping
-
-#: Valid values of :attr:`SearchConfig.engine`.
-ENGINES = ("batch", "scalar")
 
 if TYPE_CHECKING:  # imported lazily at runtime (cache.py imports this module)
     from .cache import MappingCache
@@ -45,39 +46,15 @@ class SearchConfig:
 
     ``lpf_limit`` matches the paper artifact's ``loma_lpf_limit``
     (8 for paper-quality results, 6 for the fast mode); ``budget`` caps
-    evaluated orderings per layer-tile.
-
-    ``engine`` selects how the candidate orderings are scored:
-    ``"batch"`` (default) evaluates the whole candidate list in numpy
-    array operations, ``"scalar"`` runs the pure-python reference loop.
-    Both produce bit-identical :class:`SearchResult`s — the batch path
-    mirrors every scalar float operation and falls back to scalar
-    whenever exactness cannot be guaranteed — so the knob is purely a
-    speed/dependency trade-off and deliberately *not* part of
-    :meth:`cache_token`: caches written by one engine are valid for the
-    other.
+    evaluated orderings per layer-tile.  Every field changes results, so
+    :meth:`cache_token` holds all of them.
     """
 
     lpf_limit: int = 6
     budget: int = 400
     objective: str = "energy"
-    engine: str = "batch"
-
-    #: Fields that cannot affect results and are therefore excluded
-    #: from :meth:`cache_token` (checked by ``repro check`` CACHE001):
-    #: the engines are bit-identical by contract, so ``engine`` is a
-    #: pure speed/dependency knob.
-    NON_SEMANTIC = frozenset({"engine"})
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {self.engine!r}; "
-                f"choose from: {', '.join(ENGINES)}"
-            )
 
     def cache_token(self) -> Hashable:
-        # ``engine`` intentionally omitted: results are bit-identical.
         return (self.lpf_limit, self.budget, self.objective)
 
 
@@ -117,6 +94,22 @@ def _canonical_orderings(loops: list[Loop]) -> list[tuple[Loop, ...]]:
             ordering.extend(by_dim.get(dim, ()))
         orderings.append(tuple(ordering))
     return orderings
+
+
+def candidate_orderings(loops: list[Loop], budget: int) -> list[tuple[Loop, ...]]:
+    """The orderings one search scores: the canonical dataflows, then
+    lexicographic permutations of ``loops`` up to ``budget`` orderings
+    in total, without duplicates (order matters: ties keep the earliest
+    candidate)."""
+    candidates = _canonical_orderings(loops)
+    seen = set(candidates)
+    for ordering in itertools.islice(
+        multiset_permutations(loops), max(budget - len(candidates), 0)
+    ):
+        if ordering not in seen:
+            candidates.append(ordering)
+            seen.add(ordering)
+    return candidates
 
 
 class MappingSearchEngine:
@@ -197,7 +190,10 @@ class MappingSearchEngine:
 
         ``tops`` truncates the per-operand hierarchies (DeFiNES step 3);
         ``None`` means every operand tops out at DRAM (plain single-layer
-        operation).
+        operation).  Raises :class:`AllocationError` when the operands'
+        full footprints do not fit the truncated hierarchy.  That depends
+        only on the loop multiset, not the ordering, so it is decided
+        once, before any candidate is generated.
         """
         if tops is None:
             tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
@@ -207,45 +203,35 @@ class MappingSearchEngine:
             hit = self.cache.get(key)
             if hit is not None:
                 return hit
+        if obs.enabled:
+            # Telemetry only — counters never feed back into the search.
+            obs.metrics().counter("loma_searches_total").inc()
 
         goal = objective or self.config.objective
         loops = lpf_decompose(temporal_sizes(layer, accel), self.config.lpf_limit)
-
-        candidates: list[tuple[Loop, ...]] = _canonical_orderings(loops)
-        seen = set(candidates)
-        budget = max(self.config.budget - len(candidates), 0)
-        for ordering in itertools.islice(multiset_permutations(loops), budget):
-            if ordering not in seen:
-                candidates.append(ordering)
-                seen.add(ordering)
-
-        best: SearchResult | None = None
-        engine = self.config.engine
-        fell_back = False
-        if engine == "batch":
-            try:
-                best = self._search_batch(layer, accel, tops, candidates, goal)
-            except BatchFallback:
-                engine = "scalar"
-                fell_back = True
-        if engine == "scalar":
-            best = self._search_scalar(layer, accel, tops, candidates, goal)
-        if obs.enabled:
-            # Telemetry only — counters never feed back into the search.
-            registry = obs.metrics()
-            registry.counter("loma_searches_total").inc()
-            registry.counter("loma_engine_dispatch_total", engine=engine).inc()
-            if fell_back:
-                registry.counter("loma_batch_fallbacks_total").inc()
-            if best is not None:
-                registry.counter("loma_orderings_evaluated_total").inc(
-                    best.evaluated
-                )
-        if best is None:
+        try:
+            reserve_top_levels(
+                layer, accel, tops, loops, utilized_spatial(layer, accel)
+            )
+        except AllocationError:
             raise AllocationError(
                 f"no feasible mapping for {layer.name} on {accel.name} "
                 f"with tops {dict(tops)}"
-            )
+            ) from None
+
+        candidates = candidate_orderings(loops, self.config.budget)
+        try:
+            best = self._search_batch(layer, accel, tops, candidates, goal)
+            fell_back = False
+        except BatchFallback:
+            best = self._search_scalar(layer, accel, tops, candidates, goal)
+            fell_back = True
+        assert best is not None  # phase 1 passed: every ordering allocates
+        if obs.enabled:
+            registry = obs.metrics()
+            if fell_back:
+                registry.counter("loma_batch_fallbacks_total").inc()
+            registry.counter("loma_orderings_evaluated_total").inc(best.evaluated)
         if key is not None:
             self.cache.put(key, best)
         return best
@@ -257,16 +243,14 @@ class MappingSearchEngine:
         tops: Mapping[str, int],
         candidates: list[tuple[Loop, ...]],
         objective: str | Objective,
-    ) -> SearchResult | None:
+    ) -> SearchResult:
         """Vectorized candidate scoring (see :mod:`repro.mapping.batch`)."""
         evaluation = evaluate_candidates(layer, accel, tops, candidates)
         winner = evaluation.best_index(objective)
-        if winner is None:
-            return None
         return SearchResult(
             mapping=evaluation.mapping(winner),
             cost=evaluation.cost_result(winner),
-            evaluated=evaluation.evaluated,
+            evaluated=evaluation.count,
         )
 
     def _search_scalar(
@@ -277,7 +261,9 @@ class MappingSearchEngine:
         candidates: list[tuple[Loop, ...]],
         objective: str | Objective,
     ) -> SearchResult | None:
-        """Reference one-ordering-at-a-time scoring loop."""
+        """Reference one-ordering-at-a-time scoring loop; ``None`` when no
+        ordering allocates.  The automatic fallback of :meth:`search`
+        and the oracle the batch scorer is checked against."""
         score = resolve_objective(objective)
         best: SearchResult | None = None
         evaluated = 0

@@ -8,8 +8,7 @@ One dependency-free observability surface for every subsystem:
   fold back into the parent on harvest.
 * :mod:`repro.obs.trace` — ``span("phase", **attrs)`` context managers
   emitting structured JSON-lines trace events (monotonic start/end,
-  nesting via ids) to a per-run trace file, with a deterministic
-  sampling knob.
+  nesting via ids) to a per-run trace file.
 
 The whole layer hangs off **one module-level flag**: :data:`enabled`.
 Instrumented hot paths guard with ``if obs.enabled:`` — one module
@@ -23,7 +22,7 @@ Usage::
 
     from repro import obs
 
-    obs.enable(trace="run.jsonl", sample=1.0)
+    obs.enable(trace="run.jsonl")
     with obs.span("phase", detail=42):
         if obs.enabled:
             obs.metrics().counter("things_done").inc()
@@ -111,22 +110,17 @@ def tracer() -> Tracer | None:
     return _tracer
 
 
-def enable(
-    trace: str | Path | None = None,
-    sample: float = 1.0,
-) -> MetricsRegistry:
+def enable(trace: str | Path | None = None) -> MetricsRegistry:
     """Turn telemetry on for this process.
 
     ``trace`` names the JSON-lines trace file (omit it for metrics-only
-    telemetry); ``sample`` keeps that fraction of root spans
-    (deterministic counter rule — no rng).  Returns the registry for
-    convenience.  Calling again replaces the tracer (the old file is
+    telemetry).  Returns the registry for convenience.  Calling again replaces the tracer (the old file is
     closed) and keeps accumulated metrics.
     """
     global enabled, _tracer
     if _tracer is not None:
         _tracer.close()
-    _tracer = Tracer(trace, sample=sample) if trace is not None else None
+    _tracer = Tracer(trace) if trace is not None else None
     enabled = True
     return _registry
 

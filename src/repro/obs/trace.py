@@ -19,11 +19,6 @@ math is untouched*: spans read the monotonic clock and write to the
 trace file, nothing else, so results are bit-identical with tracing on
 or off (asserted by the identity tests).
 
-Sampling (``sample < 1.0``) keeps a deterministic subset of *root*
-spans — the decision is a pure counter rule, never an rng draw, so
-enabling sampling cannot perturb any seeded random stream.  Children
-follow their root's decision: a kept root keeps its whole subtree.
-
 Forked worker processes inherit the parent's tracer object; to keep the
 file single-writer, a tracer only records from the process that created
 it (others fall back to no-ops).  Worker-side telemetry travels as
@@ -115,31 +110,20 @@ class Tracer:
         Trace file; created (parents included) on first write.  The
         first record is a ``{"type": "run"}`` header carrying the wall
         clock and pid, so monotonic span times can be anchored.
-    sample:
-        Fraction of root spans kept, in ``(0, 1]``.  The rule is the
-        deterministic counter test ``int(n*sample) < int((n+1)*sample)``
-        — root span ``n`` is kept iff its index crosses an integer
-        boundary — which spreads kept spans evenly and never consults
-        an rng.
     """
 
-    def __init__(self, path: str | Path, sample: float = 1.0) -> None:
-        if not (0.0 < sample <= 1.0):
-            raise ValueError(f"sample must be in (0, 1], got {sample}")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.sample = sample
         self.pid = os.getpid()
         self._lock = threading.Lock()
         self._local = threading.local()
         self._file: IO[str] | None = None
         self._next_id = 0
-        self._roots_seen = 0
         self.spans_written = 0
-        self.spans_dropped = 0
 
     # ------------------------------------------------------------------
-    def _stack(self) -> list[int | None]:
-        stack: list[int | None] | None = getattr(self._local, "stack", None)
+    def _stack(self) -> list[int]:
+        stack: list[int] | None = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         return stack
@@ -154,21 +138,9 @@ class Tracer:
             return NULL_SPAN
         return _Span(self, name, None, attrs)
 
-    def _enter(self, span: _Span) -> int | None:
+    def _enter(self, span: _Span) -> int:
         stack = self._stack()
-        if stack:
-            parent_id = stack[-1]
-            kept = parent_id is not None
-        else:
-            with self._lock:
-                n = self._roots_seen
-                self._roots_seen += 1
-            kept = int(n * self.sample) < int((n + 1) * self.sample)
-            parent_id = None
-        if not kept:
-            stack.append(None)  # children inherit the drop decision
-            return None
-        span.parent = parent_id
+        span.parent = stack[-1] if stack else None
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
@@ -179,9 +151,6 @@ class Tracer:
         stack = self._stack()
         if stack:
             stack.pop()
-        if span.id is None:
-            self.spans_dropped += 1
-            return
         record: dict[str, Any] = {
             "type": "span",
             "id": span.id,
@@ -208,7 +177,6 @@ class Tracer:
                     "pid": self.pid,
                     "wall_time": time.time(),
                     "monotonic": time.monotonic(),
-                    "sample": self.sample,
                 }
                 self._file.write(json.dumps(header) + "\n")
             self._file.write(line)

@@ -1,39 +1,62 @@
-"""Bit-identity property suite: batch engine vs. scalar reference.
+"""Bit-identity property suite: batch scorer vs. scalar reference.
 
-The vectorized engine's contract is *exact* equality — same winning
-mapping, same ``CostResult`` floats, same evaluated count, same error
-messages — so every comparison here goes through the persistent cache
-encoding (the byte-compatibility surface) rather than approximate
+``MappingSearchEngine.search`` scores candidates in one batch; its
+contract is *exact* equality with the kept scalar scorer on the same
+candidate list — same winning mapping, same ``CostResult`` floats, same
+evaluated count — so every comparison here goes through the persistent
+cache encoding (the byte-compatibility surface) rather than approximate
 asserts.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from repro import obs
 from repro.hardware.zoo import ACCELERATOR_FACTORIES, get_accelerator
 from repro.mapping import batch as batch_mod
+from repro.mapping import loma as loma_mod
 from repro.mapping.allocation import AllocationError
 from repro.mapping.batch import BatchFallback, evaluate_candidates
 from repro.mapping.cache import encode_search_result
 from repro.mapping.cost import OBJECTIVE_NAMES
-from repro.mapping.loma import ENGINES, MappingSearchEngine, SearchConfig
+from repro.mapping.loma import (
+    MappingSearchEngine,
+    SearchConfig,
+    SearchResult,
+    candidate_orderings,
+)
+from repro.mapping.loops import lpf_decompose
+from repro.mapping.temporal import temporal_sizes
 from repro.workloads.layer import LayerSpec, OpType
 from repro.workloads.zoo import get_workload
 
 
 def search_both(layer, accel, tops=None, objective=None, **config):
-    """Run one search problem on both engines; returns the two results
-    (either may be an AllocationError message string)."""
-    results = []
-    for engine in ENGINES:
-        searcher = MappingSearchEngine(SearchConfig(engine=engine, **config))
-        try:
-            results.append(searcher.search(layer, accel, tops, objective))
-        except AllocationError as exc:
-            results.append(str(exc))
-    return results
+    """Run one search problem through ``search()`` and through the
+    scalar scorer on the same candidate list; returns the two results.
+    Either may be an error message string: the scalar scorer's ``None``
+    (no ordering allocates) becomes the message ``search()`` raises."""
+    config = SearchConfig(**config)
+    if tops is None:
+        tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
+    searcher = MappingSearchEngine(config)
+    try:
+        batch = searcher.search(layer, accel, tops, objective)
+    except AllocationError as exc:
+        batch = str(exc)
+    loops = lpf_decompose(temporal_sizes(layer, accel), config.lpf_limit)
+    candidates = candidate_orderings(loops, config.budget)
+    goal = objective or config.objective
+    scalar = searcher._search_scalar(layer, accel, tops, candidates, goal)
+    if scalar is None:
+        scalar = (
+            f"no feasible mapping for {layer.name} on {accel.name} "
+            f"with tops {tops}"
+        )
+    return batch, scalar
 
 
 def assert_identical(layer, accel, tops=None, objective=None, **config):
@@ -172,48 +195,123 @@ class TestRandomizedParity:
 
 
 # ----------------------------------------------------------------------
-# Engine plumbing
+# Search plumbing
 # ----------------------------------------------------------------------
-class TestEngineKnob:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown search engine"):
-            SearchConfig(engine="vectorized")
+HUGE = LayerSpec(name="huge", k=512, c=512, ox=64, oy=64, fx=3, fy=3)
+REGISTER_TOPS = {"W": 0, "I": 0, "O": 0}  # nothing fits in the registers
 
-    def test_engine_not_in_cache_token(self):
-        """Caches written by one engine must be valid for the other."""
-        assert (
-            SearchConfig(engine="batch").cache_token()
-            == SearchConfig(engine="scalar").cache_token()
-        )
 
+class TestSearchConfig:
+    def test_engine_option_is_gone(self):
+        with pytest.raises(TypeError):
+            SearchConfig(engine="batch")
+
+    def test_fields_are_exactly_the_cache_token(self):
+        """Every knob changes results, so every knob is in the token."""
+        config = SearchConfig(lpf_limit=5, budget=60, objective="latency")
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+            "lpf_limit",
+            "budget",
+            "objective",
+        ]
+        assert config.cache_token() == (5, 60, "latency")
+
+
+class TestFeasibility:
     def test_all_infeasible_raises_same_message(self):
         accel = get_accelerator("meta_proto_like_df")
-        layer = LayerSpec(name="huge", k=512, c=512, ox=64, oy=64, fx=3, fy=3)
-        tops = {"W": 0, "I": 0, "O": 0}  # nothing fits in the registers
-        batch, scalar = search_both(layer, accel, tops, lpf_limit=5, budget=40)
+        batch, scalar = search_both(
+            HUGE, accel, REGISTER_TOPS, lpf_limit=5, budget=40
+        )
         assert isinstance(batch, str) and isinstance(scalar, str)
         assert batch == scalar
         assert "no feasible mapping" in batch
 
-    def test_batch_fallback_routes_to_scalar(self, monkeypatch):
+    def test_infeasible_search_generates_no_candidates(self, monkeypatch):
+        """Phase 1 decides feasibility once, before any ordering is
+        generated or scored; the cache lookup still happens first."""
+        def never(*args, **kwargs):
+            raise AssertionError("candidate work on an infeasible problem")
+
+        monkeypatch.setattr(loma_mod, "multiset_permutations", never)
+        monkeypatch.setattr(loma_mod, "evaluate_candidates", never)
+        accel = get_accelerator("meta_proto_like_df")
+        searcher = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=40))
+        with pytest.raises(AllocationError) as info:
+            searcher.search(HUGE, accel, REGISTER_TOPS)
+        assert str(info.value) == (
+            f"no feasible mapping for huge on {accel.name} "
+            f"with tops {REGISTER_TOPS}"
+        )
+        assert (searcher.cache.hits, searcher.cache.misses) == (0, 1)
+        assert len(searcher.cache) == 0  # failures are not memoized
+
+    def test_evaluate_candidates_requires_a_feasible_problem(self):
+        """The batch scorer no longer masks infeasible candidates: phase
+        1's error propagates to a caller that skipped the check."""
+        accel = get_accelerator("meta_proto_like_df")
+        loops = lpf_decompose(temporal_sizes(HUGE, accel), 5)
+        with pytest.raises(AllocationError, match="does not fit"):
+            evaluate_candidates(HUGE, accel, REGISTER_TOPS, [tuple(loops)])
+
+    def test_every_candidate_is_scored(self, monkeypatch):
+        """A feasible search scores its whole candidate list once."""
+        evaluations = []
+
+        def spy(*args):
+            evaluations.append(evaluate_candidates(*args))
+            return evaluations[-1]
+
+        monkeypatch.setattr(loma_mod, "evaluate_candidates", spy)
+        accel = get_accelerator("meta_proto_like_df")
+        layer = get_workload("fsrcnn").layers()[0]
+        result = MappingSearchEngine(SearchConfig(lpf_limit=5, budget=60)).search(
+            layer, accel
+        )
+        [evaluation] = evaluations
+        assert evaluation.count == result.evaluated
+        assert not hasattr(evaluation, "feasible")  # no per-candidate mask
+
+
+@pytest.fixture
+def forced_fallback(monkeypatch):
+    """Every batch scoring attempt raises :class:`BatchFallback`."""
+    def boom(*args, **kwargs):
+        raise BatchFallback("forced")
+
+    monkeypatch.setattr(loma_mod, "evaluate_candidates", boom)
+    return monkeypatch
+
+
+class TestFallback:
+    def test_batch_fallback_routes_to_scalar(self, forced_fallback):
         """A BatchFallback inside the vectorized path must silently rerun
         the search on the scalar reference, not surface to the caller."""
-        from repro.mapping import loma as loma_mod
-
-        def boom(*args, **kwargs):
-            raise BatchFallback("forced")
-
-        monkeypatch.setattr(loma_mod, "evaluate_candidates", boom)
         accel = get_accelerator("meta_proto_like_df")
         layer = get_workload("fsrcnn").layers()[0]
         via_fallback = MappingSearchEngine(
-            SearchConfig(engine="batch", lpf_limit=5, budget=60)
+            SearchConfig(lpf_limit=5, budget=60)
         ).search(layer, accel)
-        monkeypatch.undo()
-        scalar = MappingSearchEngine(
-            SearchConfig(engine="scalar", lpf_limit=5, budget=60)
-        ).search(layer, accel)
+        forced_fallback.undo()
+        batch, scalar = search_both(layer, accel, lpf_limit=5, budget=60)
         assert encode_search_result(via_fallback) == encode_search_result(scalar)
+        assert encode_search_result(via_fallback) == encode_search_result(batch)
+
+    def test_fallback_is_counted(self, forced_fallback):
+        accel = get_accelerator("meta_proto_like_df")
+        layer = get_workload("fsrcnn").layers()[0]
+        obs.reset()
+        registry = obs.enable()
+        try:
+            MappingSearchEngine(SearchConfig(lpf_limit=5, budget=60)).search(
+                layer, accel
+            )
+            assert registry.value("loma_batch_fallbacks_total") == 1
+            assert registry.value("loma_searches_total") == 1
+            names = {m["name"] for m in registry.to_json()["metrics"]}
+            assert "loma_engine_dispatch_total" not in names
+        finally:
+            obs.reset()
 
     def test_overflow_guard_raises_fallback(self):
         """Loop volumes beyond 2**53 cannot be reproduced exactly in
@@ -225,31 +323,24 @@ class TestEngineKnob:
         with pytest.raises(BatchFallback):
             evaluate_candidates(layer, accel, tops, huge)
 
-    def test_missing_numpy_names_scalar_fallback(self, monkeypatch):
-        monkeypatch.setattr(batch_mod, "np", None)
-        accel = get_accelerator("meta_proto_like_df")
-        layer = get_workload("fsrcnn").layers()[0]
-        engine = MappingSearchEngine(SearchConfig(engine="batch", budget=20))
-        with pytest.raises(RuntimeError, match=r'engine="scalar"'):
-            engine.search(layer, accel)
-
     def test_scorers_cover_every_named_objective(self):
         """A new named objective in cost.py silently falls back to the
         per-candidate path; keep the fast scorer table in sync."""
         assert set(batch_mod._SCORERS) == set(OBJECTIVE_NAMES)
 
-    def test_evaluate_fixed_unchanged_by_engine(self):
-        """evaluate_fixed stays on the scalar reference path."""
-        from repro.mapping.loops import lpf_decompose
-        from repro.mapping.temporal import temporal_sizes
-
+    def test_evaluate_fixed_matches_batch_scoring(self):
+        """evaluate_fixed stays on the scalar reference path, which the
+        batch scorer reproduces for the same single ordering."""
         accel = get_accelerator("meta_proto_like_df")
         layer = get_workload("fsrcnn").layers()[0]
         ordering = lpf_decompose(temporal_sizes(layer, accel), 5)
-        a = MappingSearchEngine(SearchConfig(engine="batch")).evaluate_fixed(
-            layer, accel, ordering
+        fixed = MappingSearchEngine().evaluate_fixed(layer, accel, ordering)
+        tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
+        evaluation = evaluate_candidates(layer, accel, tops, [tuple(ordering)])
+        assert encode_search_result(fixed) == encode_search_result(
+            SearchResult(
+                mapping=evaluation.mapping(0),
+                cost=evaluation.cost_result(0),
+                evaluated=1,
+            )
         )
-        b = MappingSearchEngine(SearchConfig(engine="scalar")).evaluate_fixed(
-            layer, accel, ordering
-        )
-        assert encode_search_result(a) == encode_search_result(b)

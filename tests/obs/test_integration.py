@@ -163,9 +163,31 @@ class TestCLI:
             m["name"] == "loma_searches_total" for m in data["metrics"]
         )
 
-    def test_bad_sample_fraction_rejected(self):
+    def test_traced_evaluate_writes_its_root_span(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        code = main(
+            [
+                "--accelerator", "meta_proto_like_df",
+                "--workload", "fsrcnn",
+                "--budget", "40",
+                "--lpf-limit", "5",
+                "--trace", str(trace),
+            ]
+        )
+        assert code == 0
+        spans = trace_spans(str(trace))
+        roots = [s for s in spans if s["parent"] is None]
+        assert [s["name"] for s in roots] == ["repro.evaluate"]
+        assert f"wrote {trace} ({len(spans)} span(s))" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fraction", ["0.5", "1"])
+    def test_trace_sample_option_removed(self, tmp_path, fraction):
         with pytest.raises(SystemExit):
-            main(self.DSE_ARGS + ["--trace", "t.jsonl", "--trace-sample", "0"])
+            main(
+                self.DSE_ARGS
+                + ["--trace", str(tmp_path / "t.jsonl"), "--trace-sample", fraction]
+            )
+        assert not (tmp_path / "t.jsonl").exists()
 
     def test_stats_subcommand_renders_all_formats(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

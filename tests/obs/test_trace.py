@@ -1,4 +1,4 @@
-"""Tracer: span nesting, JSON-lines round trip, sampling, pid guard."""
+"""Tracer: span nesting, JSON-lines round trip, header, pid guard."""
 
 from __future__ import annotations
 
@@ -69,42 +69,22 @@ class TestRoundTrip:
             load_trace(path)
 
 
-class TestSampling:
-    def test_counter_rule_keeps_exact_fraction(self, tmp_path):
-        tracer = Tracer(tmp_path / "t.jsonl", sample=0.5)
-        for _ in range(10):
-            with tracer.span("root"):
-                with tracer.span("child"):
-                    pass
-        tracer.close()
-        spans = trace_spans(load_trace(tmp_path / "t.jsonl"))
-        # 5 of 10 roots kept, each with its child: children follow the
-        # root's decision, so no orphan children appear.
-        assert sum(1 for s in spans if s["name"] == "root") == 5
-        assert sum(1 for s in spans if s["name"] == "child") == 5
-        assert tracer.spans_written == 10
-        assert tracer.spans_dropped == 10
-        root_ids = {s["id"] for s in spans if s["name"] == "root"}
-        assert all(
-            s["parent"] in root_ids for s in spans if s["name"] == "child"
-        )
-
-    def test_sample_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="sample"):
-            Tracer(tmp_path / "t.jsonl", sample=0.0)
-        with pytest.raises(ValueError, match="sample"):
-            Tracer(tmp_path / "t.jsonl", sample=1.5)
-
-    def test_fully_dropped_trace_writes_no_file(self, tmp_path):
-        # Writing is lazy: a trace whose roots were all sampled out (or
-        # that never opened a span) leaves no file behind.
+class TestHeader:
+    def test_header_anchors_clocks_only(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        tracer = Tracer(path, sample=0.25)
-        with tracer.span("root"):  # root 0: int(0) == int(0.25) -> drop
+        tracer = Tracer(path)
+        with tracer.span("root"):
             pass
         tracer.close()
-        assert not path.exists()
-        assert tracer.spans_dropped == 1
+        header = load_trace(path)[0]
+        assert set(header) == {"type", "pid", "wall_time", "monotonic"}
+        assert header["type"] == "run"
+
+    def test_sampling_option_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            Tracer(tmp_path / "t.jsonl", sample=0.5)
+        with pytest.raises(TypeError):
+            obs.enable(trace=tmp_path / "t.jsonl", sample=0.5)
 
 
 class TestDisabledPaths:

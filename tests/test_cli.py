@@ -34,14 +34,22 @@ class TestParser:
         assert args.lpf_limit == 6
         assert args.jobs == 1 and args.cache is None
         assert args.seed == 0  # the shared seed option is always plumbed
-        assert args.engine == "batch"  # vectorized engine is the default
+        assert not hasattr(args, "engine")
 
-    def test_engine_choices(self):
-        base = ["--accelerator", "meta_proto_like_df", "--workload", "fsrcnn"]
-        args = build_parser().parse_args(base + ["--engine", "scalar"])
-        assert args.engine == "scalar"
+    @pytest.mark.parametrize(
+        "build, base",
+        [
+            (build_parser, ["--accelerator", "meta_proto_like_df",
+                            "--workload", "fsrcnn"]),
+            (build_dse_parser, ["--workload", "resnet18"]),
+        ],
+        ids=["repro", "repro-dse"],
+    )
+    @pytest.mark.parametrize("value", ["batch", "scalar"])
+    def test_engine_option_removed(self, build, base, value):
+        """One mapping-search path: there is no scorer to choose."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(base + ["--engine", "turbo"])
+            build().parse_args(base + ["--engine", value])
 
     def test_tile_lists(self):
         args = build_parser().parse_args(
