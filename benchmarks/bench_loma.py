@@ -29,7 +29,7 @@ if __package__ in (None, ""):  # `python benchmarks/bench_loma.py`
 from repro import get_accelerator, get_workload
 from repro.mapping import MappingSearchEngine, SearchConfig, lpf_decompose
 from repro.mapping.cache import encode_search_result
-from repro.mapping.loma import candidate_orderings
+from repro.mapping.loma import candidate_table
 from repro.mapping.temporal import temporal_sizes
 
 #: Where the blessed numbers live (checked in; CI's bench-smoke job
@@ -62,7 +62,7 @@ def scalar_search(layer, accel, config: SearchConfig):
         layer,
         accel,
         tops,
-        candidate_orderings(loops, config.budget),
+        candidate_table(loops, config.budget).orderings(),
         config.objective,
     )
 

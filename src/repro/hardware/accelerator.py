@@ -106,10 +106,22 @@ class Accelerator:
     # Memory hierarchy
     # ------------------------------------------------------------------
     def hierarchy(self, operand: str) -> tuple[MemoryLevel, ...]:
-        """The operand's memory levels, lowest first, DRAM last."""
+        """The operand's memory levels, lowest first, DRAM last.
+
+        Memoized like :meth:`instances_by_uid`: the cost model, the
+        back-calculation and the memory planner ask for it on every
+        evaluation, and the levels of a frozen accelerator never change.
+        """
+        cached = self.__dict__.get("_hierarchies")
+        if cached is None:
+            cached = {
+                op: tuple(lvl for lvl in self.levels if lvl.serves(op))
+                for op in OPERANDS
+            }
+            object.__setattr__(self, "_hierarchies", cached)
         if operand not in OPERANDS:
             raise ValueError(f"unknown operand {operand!r}")
-        return tuple(lvl for lvl in self.levels if lvl.serves(operand))
+        return cached[operand]
 
     def top_level_index(self, operand: str) -> int:
         """Index of DRAM in the operand's hierarchy."""

@@ -39,7 +39,7 @@ so caches, checkpoints and golden fixtures stay byte-compatible.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from ..hardware.accelerator import Accelerator
 from ..workloads.layer import LayerSpec
 from .allocation import PRIORITY, active_operands, reserve_top_levels
 from .cost import CostResult, TrafficKey, resolve_objective
-from .loops import Loop
+from .loops import CandidateTable
 from .temporal import (
     DIM_INDEX,
     DIMS,
@@ -87,7 +87,7 @@ class BatchEvaluation:
         layer: LayerSpec,
         accel: Accelerator,
         tops: Mapping[str, int],
-        candidates: Sequence[tuple[Loop, ...]],
+        table: CandidateTable,
         boundaries: Mapping[str, object],
         latency,
         traffic: Mapping[TrafficKey, tuple],
@@ -98,7 +98,7 @@ class BatchEvaluation:
         self.layer = layer
         self.accel = accel
         self.tops = dict(tops)
-        self.candidates = list(candidates)
+        self.table = table
         self.boundaries = boundaries
         self.latency = latency
         self.traffic = traffic
@@ -110,7 +110,7 @@ class BatchEvaluation:
     @property
     def count(self) -> int:
         """Number of candidate orderings, all of them scored."""
-        return len(self.candidates)
+        return len(self.table)
 
     # ------------------------------------------------------------------
     def mapping(self, index: int) -> TemporalMapping:
@@ -119,7 +119,7 @@ class BatchEvaluation:
             op: tuple(int(b) for b in rows[index])
             for op, rows in self.boundaries.items()
         }
-        return TemporalMapping(loops=self.candidates[index], boundaries=bounds)
+        return TemporalMapping(loops=self.table.ordering(index), boundaries=bounds)
 
     def cost_result(self, index: int) -> CostResult:
         """Materialize candidate ``index``'s cost (scalar-path identical)."""
@@ -157,9 +157,13 @@ class BatchEvaluation:
         """Index of the winning candidate.
 
         Replicates the scalar scan exactly: first strictly-smaller score
-        wins, so ties keep the earliest candidate.
+        wins, so ties keep the earliest candidate.  Without NaNs that is
+        ``argmin`` (the first minimum); a NaN never wins the scan, so
+        that case keeps the scan itself.
         """
         s = self.scores(objective)
+        if not np.isnan(s).any():
+            return int(np.argmin(s))
         best = 0
         for i in range(1, self.count):
             if s[i] < s[best]:
@@ -225,11 +229,11 @@ def evaluate_candidates(
     layer: LayerSpec,
     accel: Accelerator,
     tops: Mapping[str, int],
-    candidates: Sequence[tuple[Loop, ...]],
+    table: CandidateTable,
 ) -> BatchEvaluation:
-    """Allocate and score every candidate ordering in array operations.
+    """Allocate and score every row of ``table`` in array operations.
 
-    All candidates must permute one loop multiset (LOMA's enumeration
+    All rows permute one loop multiset (the table's construction
     guarantees this), which makes the full-footprint reservation and all
     total products candidate-independent.  The multiset must fit
     ``tops`` (the caller checks phase 1 first); otherwise phase 1's
@@ -237,20 +241,18 @@ def evaluate_candidates(
     Raises :class:`BatchFallback` when exact float reproduction cannot
     be guaranteed.
     """
-    candidates = list(candidates)
-    if not candidates:
+    ranks = table.rows
+    count, n = ranks.shape
+    if not count:
         raise ValueError("no candidate orderings to evaluate")
-    n = len(candidates[0])
-    if any(len(c) != n for c in candidates):
-        raise ValueError("candidates must be permutations of one loop multiset")
-    count = len(candidates)
+    first = table.ordering(0)
     spatial = utilized_spatial(layer, accel)
 
     # ------------------------------------------------------------------
     # Exactness guards (python ints, before any float64 enters).
     # ------------------------------------------------------------------
     total_iter = 1
-    for _dim, factor in candidates[0]:
+    for _dim, factor in first:
         total_iter *= factor
     sp_prod = 1
     for unroll in spatial.values():
@@ -258,7 +260,7 @@ def evaluate_candidates(
     if total_iter >= 1 << 53 or total_iter * sp_prod >= 1 << 62:
         raise BatchFallback(f"{layer.name}: loop volume beyond exact float64")
     full_products = merge_products(
-        cumulative_dim_products(candidates[0], n), spatial
+        cumulative_dim_products(first, n), spatial
     )
     final_elems: dict[str, int] = {}
     for op in active_operands(layer):
@@ -269,19 +271,18 @@ def evaluate_candidates(
     # ------------------------------------------------------------------
     # Phase 1: full-footprint reservation (candidate-independent).
     # ------------------------------------------------------------------
-    used0 = reserve_top_levels(layer, accel, tops, candidates[0], spatial)
+    used0 = reserve_top_levels(layer, accel, tops, first, spatial)
 
     # ------------------------------------------------------------------
     # Candidate tensors: P[c, p, d], PF[c, p], suffix[c, p].
     # ------------------------------------------------------------------
-    dims_idx = np.fromiter(
-        (DIM_INDEX[dim] for cand in candidates for dim, _ in cand),
-        dtype=np.int64, count=count * n,
-    ).reshape(count, n)
-    factors = np.fromiter(
-        (factor for cand in candidates for _, factor in cand),
-        dtype=np.int64, count=count * n,
-    ).reshape(count, n)
+    dim_of_class = np.array(
+        [DIM_INDEX[dim] for dim, _ in table.loops], dtype=np.int64
+    )
+    factor_of_class = np.array([f for _, f in table.loops], dtype=np.int64)
+    dims_idx = dim_of_class[ranks]
+    factors = factor_of_class[ranks]
+    rows = np.arange(count)  # gather index: one element per candidate
     one_hot = dims_idx[:, :, None] == np.arange(len(DIMS))
     step = np.where(one_hot, factors[:, :, None], 1)
     ones_dim = np.ones((count, 1, len(DIMS)), dtype=np.int64)
@@ -345,7 +346,7 @@ def evaluate_candidates(
             fits = resident[:, 1:] <= avail[:, None]
             taken = fits | (pos[None, :] <= prev[:, None])
             bound = np.cumprod(taken, axis=1, dtype=np.int64).sum(axis=1)
-            at_bound = np.take_along_axis(resident, bound[:, None], axis=1)[:, 0]
+            at_bound = resident[rows, bound]
             if not inst.per_pe:
                 used[inst.uid] = used.get(inst.uid, np.zeros(count)) + np.minimum(
                     at_bound, avail
@@ -411,18 +412,13 @@ def evaluate_candidates(
             lower = levels[levelidx - 1]
             upper = levels[levelidx]
             prefix = boundaries[op][:, levelidx - 1]
-            above = np.take_along_axis(suffix, prefix[:, None], axis=1)[:, 0]
+            above = suffix[rows, prefix]
             # Stationarity credit: contiguous irrelevant run above the
             # boundary, as a prefix-product ratio.
             run_ok = (np.arange(n)[None, :] < prefix[:, None]) | irrelevant
             run = np.cumprod(run_ok, axis=1, dtype=np.int64).sum(axis=1)
-            credit = (
-                np.take_along_axis(PF, run[:, None], axis=1)[:, 0]
-                // np.take_along_axis(PF, prefix[:, None], axis=1)[:, 0]
-            )
-            resident = np.take_along_axis(
-                elems_merged[op], prefix[:, None], axis=1
-            )[:, 0]
+            credit = PF[rows, run] // PF[rows, prefix]
+            resident = elems_merged[op][rows, prefix]
             product = resident.astype(np.float64) * above.astype(np.float64)
             if product.size and float(product.max()) >= _EXACT:
                 raise BatchFallback(
@@ -472,7 +468,7 @@ def evaluate_candidates(
     latency = np.maximum(np.full(count, float(iterations)), stall_limited)
 
     return BatchEvaluation(
-        layer, accel, tops, candidates,
+        layer, accel, tops, table,
         boundaries=boundaries,
         latency=latency,
         traffic={key: tuple(arrays) for key, arrays in traffic.items()},

@@ -12,7 +12,8 @@ This module reimplements that search with two pragmatic additions:
   stationary flavors) always evaluated in addition, so a tight budget can
   never miss the classic dataflows entirely.
 
-Each search scores its whole candidate list in one batch
+Each search builds its candidate list as an integer table
+(:func:`candidate_table`) and scores it in one batch
 (:mod:`repro.mapping.batch`); the scalar loop, one ordering at a
 time, is the bit-identical reference and the automatic fallback when the
 batch cannot guarantee exact floats.  Results are memoized: DeFiNES
@@ -22,9 +23,13 @@ sweep points.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Mapping
+
+import numpy as np
 
 from .. import obs
 from ..hardware.accelerator import Accelerator
@@ -32,7 +37,7 @@ from ..workloads.layer import LayerSpec
 from .allocation import AllocationError, allocate, reserve_top_levels
 from .batch import BatchFallback, evaluate_candidates
 from .cost import CostResult, Objective, resolve_objective
-from .loops import Loop, lpf_decompose, multiset_permutations
+from .loops import CandidateTable, Loop, lpf_decompose, multiset_permutations
 from .temporal import TemporalMapping, temporal_sizes, utilized_spatial
 from .zigzag import evaluate_mapping
 
@@ -80,36 +85,53 @@ _CANONICAL_DIM_ORDERS = (
 )
 
 
-def _canonical_orderings(loops: list[Loop]) -> list[tuple[Loop, ...]]:
-    """Expand canonical dim orders over the LPF multiset."""
-    by_dim: dict[str, list[Loop]] = {}
-    for loop in loops:
-        by_dim.setdefault(loop[0], []).append(loop)
-    for dim_loops in by_dim.values():
-        dim_loops.sort(key=lambda l: l[1])
-    orderings = []
-    for dim_order in _CANONICAL_DIM_ORDERS:
-        ordering: list[Loop] = []
-        for dim in dim_order:
-            ordering.extend(by_dim.get(dim, ()))
-        orderings.append(tuple(ordering))
-    return orderings
+@functools.lru_cache(maxsize=128)
+def _lex_rows(
+    pattern: tuple[int, ...], limit: int
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The first ``limit`` lexicographic permutations of the sorted
+    class-id multiset ``pattern``: a read-only ``(m, n)`` table and the
+    same rows as (sorted) tuples.
+
+    Permutations of a sorted multiset depend only on its multiplicity
+    pattern (e.g. ``(0, 0, 1, 2, 3, 3)``), not on the loops themselves,
+    so every search with the same pattern and budget shares one table.
+    """
+    perms = tuple(itertools.islice(multiset_permutations(list(pattern)), limit))
+    table = np.array(perms, dtype=np.int64).reshape(len(perms), len(pattern))
+    table.flags.writeable = False
+    return table, perms
 
 
-def candidate_orderings(loops: list[Loop], budget: int) -> list[tuple[Loop, ...]]:
+def candidate_table(loops: list[Loop], budget: int) -> CandidateTable:
     """The orderings one search scores: the canonical dataflows, then
     lexicographic permutations of ``loops`` up to ``budget`` orderings
     in total, without duplicates (order matters: ties keep the earliest
-    candidate)."""
-    candidates = _canonical_orderings(loops)
-    seen = set(candidates)
-    for ordering in itertools.islice(
-        multiset_permutations(loops), max(budget - len(candidates), 0)
-    ):
-        if ordering not in seen:
-            candidates.append(ordering)
-            seen.add(ordering)
-    return candidates
+    candidate).  Canonical orderings keep duplicates among themselves;
+    a permutation equal to a canonical one is dropped."""
+    ordered = sorted(loops)
+    classes = tuple(dict.fromkeys(ordered))
+    rank = {loop: c for c, loop in enumerate(classes)}
+    pattern = tuple(rank[loop] for loop in ordered)
+    by_dim: dict[str, list[int]] = {}
+    for loop, c in zip(ordered, pattern):
+        by_dim.setdefault(loop[0], []).append(c)
+    canonical = [
+        tuple(c for dim in dim_order for c in by_dim.get(dim, ()))
+        for dim_order in _CANONICAL_DIM_ORDERS
+    ]
+    lex, perms = _lex_rows(pattern, max(budget - len(canonical), 0))
+    # The permutations are sorted, so a canonical row's copy (if it is
+    # among them) sits at its bisection point.
+    repeats = []
+    for row in canonical:
+        at = bisect.bisect_left(perms, row)
+        if at < len(perms) and perms[at] == row:
+            repeats.append(at)
+    head = np.array(canonical, dtype=np.int64).reshape(len(canonical), len(pattern))
+    return CandidateTable(
+        loops=classes, rows=np.concatenate([head, np.delete(lex, repeats, axis=0)])
+    )
 
 
 class MappingSearchEngine:
@@ -219,12 +241,14 @@ class MappingSearchEngine:
                 f"with tops {dict(tops)}"
             ) from None
 
-        candidates = candidate_orderings(loops, self.config.budget)
+        table = candidate_table(loops, self.config.budget)
         try:
-            best = self._search_batch(layer, accel, tops, candidates, goal)
+            best = self._search_batch(layer, accel, tops, table, goal)
             fell_back = False
         except BatchFallback:
-            best = self._search_scalar(layer, accel, tops, candidates, goal)
+            best = self._search_scalar(
+                layer, accel, tops, table.orderings(), goal
+            )
             fell_back = True
         assert best is not None  # phase 1 passed: every ordering allocates
         if obs.enabled:
@@ -241,11 +265,11 @@ class MappingSearchEngine:
         layer: LayerSpec,
         accel: Accelerator,
         tops: Mapping[str, int],
-        candidates: list[tuple[Loop, ...]],
+        table: CandidateTable,
         objective: str | Objective,
     ) -> SearchResult:
         """Vectorized candidate scoring (see :mod:`repro.mapping.batch`)."""
-        evaluation = evaluate_candidates(layer, accel, tops, candidates)
+        evaluation = evaluate_candidates(layer, accel, tops, table)
         winner = evaluation.best_index(objective)
         return SearchResult(
             mapping=evaluation.mapping(winner),

@@ -9,10 +9,15 @@ fragmented dimensions.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, TypeVar
+
+import numpy as np
 
 #: A single loop: (dimension name, trip count).
 Loop = tuple[str, int]
+
+_T = TypeVar("_T")
 
 
 def prime_factors(n: int) -> list[int]:
@@ -64,8 +69,9 @@ def lpf_decompose(sizes: Mapping[str, int], lpf_limit: int = 6) -> list[Loop]:
     return loops
 
 
-def multiset_permutations(items: list[Loop]) -> Iterator[tuple[Loop, ...]]:
-    """Yield all distinct permutations of a multiset of loops.
+def multiset_permutations(items: list[_T]) -> Iterator[tuple[_T, ...]]:
+    """Yield all distinct permutations of a multiset (of loops, or of
+    their class ids), in lexicographic order.
 
     Standard lexicographic next-permutation algorithm over the multiset,
     so duplicates are never generated (unlike ``itertools.permutations``).
@@ -88,6 +94,32 @@ def multiset_permutations(items: list[Loop]) -> Iterator[tuple[Loop, ...]]:
             j -= 1
         current[i], current[j] = current[j], current[i]
         current[i + 1 :] = reversed(current[i + 1 :])
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Loop orderings of one multiset as an integer table.
+
+    ``loops`` holds the distinct loops of the multiset in sorted order;
+    a loop's *class id* is its index there.  Row ``i`` of the ``(m, n)``
+    int64 array ``rows`` is ordering ``i``, innermost loop first, as
+    class ids.
+    """
+
+    loops: tuple[Loop, ...]
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def ordering(self, index: int) -> tuple[Loop, ...]:
+        """Row ``index`` as a loop tuple (the loops' own str/int values)."""
+        return tuple(self.loops[c] for c in self.rows[index].tolist())
+
+    def orderings(self) -> list[tuple[Loop, ...]]:
+        """Every row as a loop tuple, in table order."""
+        loops = self.loops
+        return [tuple(loops[c] for c in row) for row in self.rows.tolist()]
 
 
 def count_multiset_permutations(items: Iterable[Loop]) -> int:

@@ -14,7 +14,9 @@ request is ``{"op": ..., ...}`` and each response ``{"ok": true, ...}``
 (or ``{"ok": false, "error": msg}``).  Keys travel in their normalized
 string form (:func:`~repro.mapping.cache.normalize_key`) and entries as
 the JSON encoding already used by the persistent cache format, so the
-wire format and the disk format stay in lockstep.
+wire format and the disk format stay in lockstep.  A request line longer
+than :data:`MAX_REQUEST_BYTES` is refused with a JSON error and the
+connection keeps serving.
 
 The server can periodically snapshot its table to disk through
 :meth:`MappingCache.save` — atomic and merge-on-save, in the unchanged
@@ -84,19 +86,36 @@ def format_address(address: tuple[str, int]) -> str:
     return f"{address[0]}:{address[1]}"
 
 
+#: Longest request line (newline included) the server reads.  A longer
+#: line is drained and answered with a JSON error, so no client can make
+#: the server buffer unbounded input; the limit still fits a
+#: ``put_many`` of ~70k entries.
+MAX_REQUEST_BYTES = 64 << 20
+
+#: Read size while discarding the rest of an oversize request line.
+_DRAIN_CHUNK = 1 << 16
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One client connection: serve JSON-line requests until EOF."""
 
     def handle(self) -> None:
         server: CacheServer = self.server.cache_server  # type: ignore[attr-defined]
         server._connection_opened()
+        limit = MAX_REQUEST_BYTES
         try:
             while True:
-                line = self.rfile.readline()
+                line = self.rfile.readline(limit + 1)
                 if not line:
                     break
                 request: dict = {}
                 try:
+                    if len(line) > limit:
+                        while line and not line.endswith(b"\n"):
+                            line = self.rfile.readline(_DRAIN_CHUNK)
+                        raise ValueError(
+                            f"request line longer than {limit} bytes"
+                        )
                     decoded = json.loads(line)
                     if not isinstance(decoded, dict):
                         raise ValueError("request must be a JSON object")

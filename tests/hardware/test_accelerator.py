@@ -1,9 +1,13 @@
 """Unit tests for the accelerator model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.hardware.accelerator import build_accelerator
 from repro.hardware.memory import MemoryInstance, level
+from repro.hardware.zoo import ACCELERATOR_FACTORIES, get_accelerator
 from repro.workloads.layer import LayerSpec, OpType
 
 
@@ -94,6 +98,42 @@ class TestHierarchy:
         assert [l.name for l in accel.hierarchy("W")] == ["W_reg", "DRAM"]
         assert [l.name for l in accel.hierarchy("I")] == ["LB_IO", "DRAM"]
         assert [l.name for l in accel.hierarchy("O")] == ["O_reg", "LB_IO", "DRAM"]
+
+    @pytest.mark.parametrize("name", sorted(ACCELERATOR_FACTORIES))
+    def test_memoized_hierarchy_equals_filter(self, name):
+        accel = get_accelerator(name)
+        for op in ("W", "I", "O"):
+            expected = tuple(lvl for lvl in accel.levels if lvl.serves(op))
+            assert accel.hierarchy(op) == expected
+            assert accel.hierarchy(op) is accel.hierarchy(op)
+
+    def test_unknown_operand_still_raises(self):
+        accel = small_accel()
+        accel.hierarchy("W")  # warm the memo first
+        with pytest.raises(ValueError, match="unknown operand"):
+            accel.hierarchy("X")
+
+    def test_memo_survives_pickle(self):
+        accel = small_accel()
+        clone = pickle.loads(pickle.dumps(accel))
+        assert clone == accel
+        for op in ("W", "I", "O"):
+            assert clone.hierarchy(op) == accel.hierarchy(op)
+            assert [l.name for l in clone.hierarchy(op)] == [
+                l.name for l in clone.levels if l.serves(op)
+            ]
+
+    def test_memo_changes_neither_equality_nor_fingerprint(self):
+        accel = get_accelerator("meta_proto_like_df")
+        bare = copy.copy(accel)
+        bare.__dict__.pop("_hierarchies")
+        bare.__dict__.pop("_fingerprint", None)
+        assert "_hierarchies" in accel.__dict__
+        assert bare == accel
+        # the digest persistent caches are keyed on, unchanged by the memo
+        assert bare.fingerprint() == accel.fingerprint() == (
+            "meta_proto_like_df:6f04ff59c9bc59b6"
+        )
 
     def test_level_rank_ordering(self):
         accel = small_accel()

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -26,9 +27,9 @@ from repro.mapping.loma import (
     MappingSearchEngine,
     SearchConfig,
     SearchResult,
-    candidate_orderings,
+    candidate_table,
 )
-from repro.mapping.loops import lpf_decompose
+from repro.mapping.loops import CandidateTable, lpf_decompose
 from repro.mapping.temporal import temporal_sizes
 from repro.workloads.layer import LayerSpec, OpType
 from repro.workloads.zoo import get_workload
@@ -48,7 +49,7 @@ def search_both(layer, accel, tops=None, objective=None, **config):
     except AllocationError as exc:
         batch = str(exc)
     loops = lpf_decompose(temporal_sizes(layer, accel), config.lpf_limit)
-    candidates = candidate_orderings(loops, config.budget)
+    candidates = candidate_table(loops, config.budget).orderings()
     goal = objective or config.objective
     scalar = searcher._search_scalar(layer, accel, tops, candidates, goal)
     if scalar is None:
@@ -57,6 +58,17 @@ def search_both(layer, accel, tops=None, objective=None, **config):
             f"with tops {tops}"
         )
     return batch, scalar
+
+
+def table_of(orderings) -> CandidateTable:
+    """A table holding exactly ``orderings`` (permutations of one
+    multiset), for driving the batch scorer directly."""
+    loops = tuple(sorted(set(orderings[0])))
+    rank = {loop: c for c, loop in enumerate(loops)}
+    return CandidateTable(
+        loops,
+        np.array([[rank[loop] for loop in o] for o in orderings], dtype=np.int64),
+    )
 
 
 def assert_identical(layer, accel, tops=None, objective=None, **config):
@@ -233,6 +245,7 @@ class TestFeasibility:
         def never(*args, **kwargs):
             raise AssertionError("candidate work on an infeasible problem")
 
+        monkeypatch.setattr(loma_mod, "candidate_table", never)
         monkeypatch.setattr(loma_mod, "multiset_permutations", never)
         monkeypatch.setattr(loma_mod, "evaluate_candidates", never)
         accel = get_accelerator("meta_proto_like_df")
@@ -252,7 +265,7 @@ class TestFeasibility:
         accel = get_accelerator("meta_proto_like_df")
         loops = lpf_decompose(temporal_sizes(HUGE, accel), 5)
         with pytest.raises(AllocationError, match="does not fit"):
-            evaluate_candidates(HUGE, accel, REGISTER_TOPS, [tuple(loops)])
+            evaluate_candidates(HUGE, accel, REGISTER_TOPS, table_of([loops]))
 
     def test_every_candidate_is_scored(self, monkeypatch):
         """A feasible search scores its whole candidate list once."""
@@ -321,7 +334,7 @@ class TestFallback:
         tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
         huge = ((("K", 1 << 30), ("C", 1 << 30)),)
         with pytest.raises(BatchFallback):
-            evaluate_candidates(layer, accel, tops, huge)
+            evaluate_candidates(layer, accel, tops, table_of(huge))
 
     def test_scorers_cover_every_named_objective(self):
         """A new named objective in cost.py silently falls back to the
@@ -336,7 +349,7 @@ class TestFallback:
         ordering = lpf_decompose(temporal_sizes(layer, accel), 5)
         fixed = MappingSearchEngine().evaluate_fixed(layer, accel, ordering)
         tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
-        evaluation = evaluate_candidates(layer, accel, tops, [tuple(ordering)])
+        evaluation = evaluate_candidates(layer, accel, tops, table_of([ordering]))
         assert encode_search_result(fixed) == encode_search_result(
             SearchResult(
                 mapping=evaluation.mapping(0),
@@ -344,3 +357,38 @@ class TestFallback:
                 evaluated=1,
             )
         )
+
+
+def scan_best(scores) -> int:
+    """The scalar path's winner rule: first strictly-smaller score."""
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] < scores[best]:
+            best = i
+    return best
+
+
+class TestBestIndex:
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [3.0, 1.0, 2.0, 1.0, 1.0],           # ties keep the earliest
+            [2.0, 2.0, 2.0],                     # all tied
+            [0.0, -0.0, 5.0],                    # signed zeros compare equal
+            [float("nan"), 1.0, 0.5, 0.5],       # NaN at index 0 never loses
+            [4.0, float("nan"), 1.0, 3.0, 1.0],  # NaN mid-array is skipped
+            [float("nan"), float("nan")],
+            [float("inf"), 7.0, float("-inf"), float("-inf")],
+        ],
+    )
+    def test_matches_first_strictly_smaller_scan(self, scores):
+        accel = get_accelerator("meta_proto_like_df")
+        layer = get_workload("fsrcnn").layers()[0]
+        loops = lpf_decompose(temporal_sizes(layer, accel), 5)
+        tops = {op: accel.top_level_index(op) for op in ("W", "I", "O")}
+        full = candidate_table(loops, 60)
+        table = CandidateTable(full.loops, full.rows[: len(scores)])
+        evaluation = evaluate_candidates(layer, accel, tops, table)
+        values = np.array(scores, dtype=np.float64)
+        evaluation.scores = lambda objective: values
+        assert evaluation.best_index("energy") == scan_best(values)

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.mapping.cache import MappingCache, cache_file_info
+from repro.mapping.cache import MappingCache, cache_file_info, encode_search_result
 from repro.mapping.cost import CostResult, Traffic
 from repro.mapping.loma import SearchResult
 from repro.mapping.temporal import TemporalMapping
@@ -15,6 +15,7 @@ from repro.serve import (
     CacheClient,
     CacheServer,
     CacheServerError,
+    cache_server,
     format_address,
     parse_address,
 )
@@ -146,6 +147,36 @@ class TestClientBasics:
             response = json.loads(sock.makefile().readline())
         assert response["ok"] is False
         assert "JSON object" in response["error"]
+
+    def test_oversize_line_is_refused_and_serving_continues(self, monkeypatch):
+        """A request line beyond the limit is drained and answered with
+        a JSON error; the connection keeps serving and the table is
+        untouched (the refused line was a well-formed put)."""
+        monkeypatch.setattr(cache_server, "MAX_REQUEST_BYTES", 1024)
+        with CacheServer() as srv:
+            with CacheClient(srv.address) as cli:
+                cli.put(("k", 0), make_result(0))
+            before = srv.cache.snapshot()
+            put = {
+                "op": "put",
+                "key": "big",
+                "entry": encode_search_result(make_result(1)),
+                "pad": "x" * 5000,
+            }
+            with socket.create_connection(srv.address) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(json.dumps(put).encode() + b"\n")
+                refused = json.loads(reader.readline())
+                sock.sendall(b'{"op": "ping"}\n')
+                pong = json.loads(reader.readline())
+                reader.close()
+            assert refused["ok"] is False
+            assert "longer than 1024 bytes" in refused["error"]
+            assert pong == {"ok": True, "pong": True, "size": 1}
+            assert srv.cache.snapshot().keys() == before.keys()
+            assert [
+                encode_search_result(r) for r in srv.cache.snapshot().values()
+            ] == [encode_search_result(r) for r in before.values()]
 
 
 class TestMappingCacheSurface:
