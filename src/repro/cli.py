@@ -81,6 +81,7 @@ pickle files; JSON keeps them human-readable and diffable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -489,10 +490,28 @@ def _ledger_finish(
         print(f"warning: run ledger write failed: {exc}", file=sys.stderr)
 
 
-def _ledger_crash(handle, exc: BaseException) -> None:
-    """Seal the record for a run that is about to re-raise."""
-    status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "crashed"
-    _ledger_finish(handle, status, error=f"{type(exc).__name__}: {exc}")
+@contextlib.contextmanager
+def _run_lifecycle(command: str, argv, args, **manifest):
+    """One run's ledger record and telemetry around the body.
+
+    The body fills the yielded dict with the record's result.  The
+    record is sealed ("ok", "crashed" or "interrupted") *before*
+    ``_finish_obs`` resets the metrics registry, or a telemetry-on run
+    would lose its metrics dump.
+    """
+    handle = _begin_ledger(command, argv, args, **manifest)
+    _setup_obs(args)
+    outcome: dict = {}
+    try:
+        yield outcome
+    except BaseException as exc:
+        status = "interrupted" if isinstance(exc, KeyboardInterrupt) else "crashed"
+        _ledger_finish(handle, status, error=f"{type(exc).__name__}: {exc}")
+        raise
+    else:
+        _ledger_finish(handle, "ok", result=outcome)
+    finally:
+        _finish_obs(args)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +619,7 @@ def run_evaluate(argv: Sequence[str]) -> int:
     workload = get_workload(args.workload)
     mode = _resolve_mode(args.mode)
     config = SearchConfig(lpf_limit=args.lpf_limit, budget=args.budget)
-    handle = _begin_ledger(
+    with _run_lifecycle(
         "evaluate",
         argv,
         args,
@@ -609,9 +628,7 @@ def run_evaluate(argv: Sequence[str]) -> int:
         accelerator_fingerprints={args.accelerator: accel.fingerprint()},
         mode=mode.value,
         tiles=len(args.tilex) * len(args.tiley),
-    )
-    _setup_obs(args)
-    try:
+    ) as outcome:
         cache = _resolve_cache(args)
 
         tiles = [(tx, ty) for tx in args.tilex for ty in args.tiley]
@@ -658,24 +675,16 @@ def run_evaluate(argv: Sequence[str]) -> int:
             with open(args.output, "w") as f:
                 json.dump(summary, f, indent=2)
             print(f"wrote {args.output}")
-    except BaseException as exc:
-        _ledger_crash(handle, exc)
-        _finish_obs(args)
-        raise
-    if "points" in summary:
-        outcome = {
-            "points": len(summary["points"]),
-            "best_strategy": summary["best_strategy"],
-        }
-    else:
-        outcome = {
-            "energy_mj": summary["energy_mj"],
-            "latency_cycles": summary["latency_cycles"],
-        }
-    # The record must be sealed before _finish_obs resets the registry,
-    # or a telemetry-on run would lose its metrics dump.
-    _ledger_finish(handle, "ok", result=outcome)
-    _finish_obs(args)
+        if "points" in summary:
+            outcome.update(
+                points=len(summary["points"]),
+                best_strategy=summary["best_strategy"],
+            )
+        else:
+            outcome.update(
+                energy_mj=summary["energy_mj"],
+                latency_cycles=summary["latency_cycles"],
+            )
     return 0
 
 
@@ -958,7 +967,7 @@ def run_dse(argv: Sequence[str]) -> int:
     workload_label = (
         workload.describe() if isinstance(workload, Scenario) else workload
     )
-    handle = _begin_ledger(
+    with _run_lifecycle(
         "dse",
         argv,
         args,
@@ -972,9 +981,7 @@ def run_dse(argv: Sequence[str]) -> int:
         objectives=list(args.objectives),
         max_evals=args.max_evals,
         checkpoint=args.checkpoint,
-    )
-    _setup_obs(args)
-    try:
+    ) as outcome:
         cache = _resolve_cache(args)
         strategy = create_strategy(
             args.strategy,
@@ -1068,23 +1075,13 @@ def run_dse(argv: Sequence[str]) -> int:
                 json.dump(summary, f, indent=2)
             print(f"wrote {args.output}")
         _finish_cache(args, cache)
-    except BaseException as exc:
-        _ledger_crash(handle, exc)
-        _finish_obs(args)
-        raise
-    last = result.generations[-1] if result.generations else None
-    # Seal the record before _finish_obs resets the metrics registry.
-    _ledger_finish(
-        handle,
-        "ok",
-        result={
-            "evaluations": result.total_evaluations,
-            "frontier_size": len(result.frontier),
-            "hypervolume": last.hypervolume if last else None,
-            "epsilon": last.epsilon if last else None,
-        },
-    )
-    _finish_obs(args)
+        last = result.generations[-1] if result.generations else None
+        outcome.update(
+            evaluations=result.total_evaluations,
+            frontier_size=len(result.frontier),
+            hypervolume=last.hypervolume if last else None,
+            epsilon=last.epsilon if last else None,
+        )
     return 0
 
 

@@ -22,7 +22,6 @@ class DataCopyAction:
     """One block move: ``elems`` data elements of ``bits`` precision from
     ``src`` to ``dst`` (distinct physical memories)."""
 
-    label: str
     elems: float
     bits: int
     src: MemoryLevel
@@ -39,7 +38,8 @@ def copy_cost(actions: list[DataCopyAction]) -> CostResult:
     Energy: each byte pays one read at the source and one write at the
     destination.  Latency: every physical memory serializes the bytes it
     must move through its ports; the bundle finishes when the most loaded
-    memory does.
+    memory does.  Traffic entries are created, and their energies summed,
+    in action order, so the order is part of bit-identity (DESIGN.md §5).
     """
     result = CostResult()
     port_bytes: dict[int, float] = {}

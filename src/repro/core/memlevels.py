@@ -102,16 +102,17 @@ def plan_tile_memory(
     accel: Accelerator,
     tile: TileType,
     stack_weight_bytes: int,
-    input_source: Mapping[str, int],
     output_dest_idx: int,
     policy: MemLevelPolicy | None = None,
 ) -> TileMemoryPlan:
     """Run step 3 for one tile type.
 
-    ``input_source`` maps each stack-source layer name to the I-hierarchy
-    index where the stack's input feature map lives (DRAM or a lower level
-    left by the previous stack); ``output_dest_idx`` is where the stack's
-    final output must land (O hierarchy index).
+    Every layer's input top is the lowest I level that fits its input
+    tile, stack-source layers included: the stack's input feature map is
+    brought there by step 4's fresh-stack-input copy from wherever the
+    previous stack left it.  Only the stack sink's output top is forced,
+    to ``output_dest_idx`` (O hierarchy index), where the stack's final
+    output must land.
     """
     policy = policy or MemLevelPolicy()
     stack = tile.geometry
@@ -137,13 +138,8 @@ def plan_tile_memory(
         else:
             top_w = w_resident_idx
 
-        # Inputs: forced to the stack input location for source layers.
-        if geom.layer.name in input_source:
-            top_i = input_source[geom.layer.name]
-        else:
-            top_i = _lowest_fit(
-                accel, "I", float(geom.input_bytes), reserved, policy
-            )
+        # Inputs: the lowest level fitting the input tile.
+        top_i = _lowest_fit(accel, "I", float(geom.input_bytes), reserved, policy)
         i_level = accel.hierarchy("I")[top_i]
         if not i_level.instance.is_dram:
             reserved[i_level.instance.uid] = (

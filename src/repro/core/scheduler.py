@@ -9,7 +9,8 @@
    tile types;
 3. determine top memory levels per (operand, layer, tile type);
 4. model the data copy actions that collect inputs / spill overlap
-   caches;
+   caches: per computed layer, one ordered table of ``(elems, src,
+   dst)`` rows costed as one parallel bundle (:func:`copy_cost`);
 5. call the single-layer mapper + cost model per layer-tile with the
    hierarchy truncated at the chosen top levels;
 6. accumulate everything into stack and schedule results.
@@ -22,13 +23,12 @@ behaviour), per the strategy's :class:`StackBoundary`.
 from __future__ import annotations
 
 from ..hardware.accelerator import Accelerator
-from ..hardware.memory import MemoryLevel
 from ..mapping.cache import MappingCache
 from ..mapping.cost import CostResult
 from ..mapping.loma import MappingSearchEngine, SearchConfig
 from ..workloads.graph import WorkloadGraph
 from ..workloads.layer import LayerSpec
-from .backcalc import LayerTileGeometry, TileType, backcalculate
+from .backcalc import TileType, backcalculate
 from .datacopy import DataCopyAction, copy_cost
 from .memlevels import MemLevelPolicy, TileMemoryPlan, plan_tile_memory
 from .results import ScheduleResult, StackResult, TileTypeResult
@@ -226,7 +226,6 @@ class DepthFirstEngine:
                 self.accel,
                 tile,
                 stack.weight_bytes,
-                input_source={},
                 output_dest_idx=out_dest_o,
                 policy=self.policy,
             )
@@ -244,40 +243,63 @@ class DepthFirstEngine:
         plan: TileMemoryPlan,
         ext_location: dict[str, int],
     ) -> TileTypeResult:
-        wl = stack.workload
-        geom_by_name = {g.layer.name: g for g in tile.geometry}
-        tops_by_name = {
-            g.layer.name: plan.layer_tops[i] for i, g in enumerate(tile.geometry)
-        }
         i_hier = self.accel.hierarchy("I")
         o_hier = self.accel.hierarchy("O")
         cache_h = plan.cache_level(self.accel, "h")
         cache_v = plan.cache_level(self.accel, "v")
+        geom_by_name = {g.layer.name: g for g in tile.geometry}
+        top_o_by_name = {
+            g.layer.name: o_hier[lt.tops["O"]]
+            for g, lt in zip(tile.geometry, plan.layer_tops)
+        }
 
         result = TileTypeResult(tile=tile, plan=plan)
-        copy_total = CostResult()
-
-        for idx, geom in enumerate(tile.geometry):
-            layer = geom.layer
+        for geom, layer_tops in zip(tile.geometry, plan.layer_tops):
             if not geom.is_computed:
                 result.layer_costs.append(CostResult())
                 continue
-            tops = plan.layer_tops[idx].tops
-            dest = i_hier[tops["I"]]
-            actions = self._gather_actions(
-                wl, geom, geom_by_name, tops_by_name, dest, o_hier,
-                cache_h, cache_v, ext_location, i_hier,
+            name = geom.layer.name
+            dest = i_hier[layer_tops.tops["I"]]
+            top_o = top_o_by_name[name]
+            # Step 4: one parallel bundle of (elems, src, dst) rows -- the
+            # input pieces gathered at ``dest``, then the overlap spills.
+            # The row order is the traffic insertion order (DESIGN.md §5).
+            rows = []
+            for producer in stack.workload.predecessors(name):
+                p = geom_by_name[producer.name]
+                rows += [
+                    (p.output_elems, top_o_by_name[producer.name], dest),
+                    (p.used_h_elems, cache_h, dest),
+                    (p.used_v_elems, cache_v, dest),
+                ]
+            if geom.is_source:
+                rows += [
+                    (geom.input_fresh_elems, i_hier[ext_location[name]], dest),
+                    (geom.input_used_h_elems, cache_h, dest),
+                    (geom.input_used_v_elems, cache_v, dest),
+                ]
+            rows += [
+                (geom.keep_h_elems, top_o, cache_h),
+                (geom.keep_v_elems, top_o, cache_v),
+            ]
+            if geom.is_source:
+                rows += [
+                    (geom.input_keep_h_elems, dest, cache_h),
+                    (geom.input_keep_v_elems, dest, cache_v),
+                ]
+            bits = geom.layer.act_bits
+            result.copy_cost.add(
+                copy_cost(
+                    [
+                        DataCopyAction(elems, bits, src, dst)
+                        for elems, src, dst in rows
+                        if elems and src is not None and dst is not None
+                    ]
+                )
             )
-            actions.extend(
-                self._spill_actions(geom, o_hier[tops["O"]], cache_h, cache_v, dest)
-            )
-            copy_total.add(copy_cost(actions))
-
             result.layer_costs.append(
-                self._search_with_fallback(geom.scaled_layer(), tops)
+                self._search_with_fallback(geom.scaled_layer(), layer_tops.tops)
             )
-
-        result.copy_cost = copy_total
         return result
 
     def _search_with_fallback(self, layer: LayerSpec, tops: dict) -> CostResult:
@@ -303,144 +325,3 @@ class DepthFirstEngine:
         raise AllocationError(
             f"{layer.name}: no feasible mapping even with DRAM tops"
         ) from last_error
-
-    def _gather_actions(
-        self,
-        wl: WorkloadGraph,
-        geom: LayerTileGeometry,
-        geom_by_name: dict[str, LayerTileGeometry],
-        tops_by_name,
-        dest: MemoryLevel,
-        o_hier,
-        cache_h: MemoryLevel | None,
-        cache_v: MemoryLevel | None,
-        ext_location: dict[str, int],
-        i_hier,
-    ) -> list[DataCopyAction]:
-        """Step 4: collect this layer-tile's input pieces at ``dest``."""
-        layer = geom.layer
-        actions: list[DataCopyAction] = []
-        bits = layer.act_bits
-
-        for producer in wl.predecessors(layer.name):
-            pgeom = geom_by_name[producer.name]
-            p_top_o = o_hier[tops_by_name[producer.name].tops["O"]]
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:fresh<-{producer.name}",
-                    elems=pgeom.output_elems,
-                    bits=bits,
-                    src=p_top_o,
-                    dst=dest,
-                )
-            )
-            if cache_h is not None and pgeom.used_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:hcache<-{producer.name}",
-                        elems=pgeom.used_h_elems,
-                        bits=bits,
-                        src=cache_h,
-                        dst=dest,
-                    )
-                )
-            if cache_v is not None and pgeom.used_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:vcache<-{producer.name}",
-                        elems=pgeom.used_v_elems,
-                        bits=bits,
-                        src=cache_v,
-                        dst=dest,
-                    )
-                )
-
-        if geom.is_source:
-            src_level = i_hier[ext_location[layer.name]]
-            if geom.input_fresh_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:fresh<-stack-input",
-                        elems=geom.input_fresh_elems,
-                        bits=bits,
-                        src=src_level,
-                        dst=dest,
-                    )
-                )
-            if cache_h is not None and geom.input_used_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:hcache<-stack-input",
-                        elems=geom.input_used_h_elems,
-                        bits=bits,
-                        src=cache_h,
-                        dst=dest,
-                    )
-                )
-            if cache_v is not None and geom.input_used_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:vcache<-stack-input",
-                        elems=geom.input_used_v_elems,
-                        bits=bits,
-                        src=cache_v,
-                        dst=dest,
-                    )
-                )
-        return actions
-
-    def _spill_actions(
-        self,
-        geom: LayerTileGeometry,
-        top_o: MemoryLevel,
-        cache_h: MemoryLevel | None,
-        cache_v: MemoryLevel | None,
-        dest_i: MemoryLevel,
-    ) -> list[DataCopyAction]:
-        """Step 4 (outbound): retain freshly computed overlap data in the
-        cache levels, and retain fresh stack-input halo likewise."""
-        layer = geom.layer
-        actions: list[DataCopyAction] = []
-        if cache_h is not None and geom.keep_h_elems:
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:spill-h",
-                    elems=geom.keep_h_elems,
-                    bits=layer.act_bits,
-                    src=top_o,
-                    dst=cache_h,
-                )
-            )
-        if cache_v is not None and geom.keep_v_elems:
-            actions.append(
-                DataCopyAction(
-                    label=f"{layer.name}:spill-v",
-                    elems=geom.keep_v_elems,
-                    bits=layer.act_bits,
-                    src=top_o,
-                    dst=cache_v,
-                )
-            )
-        if geom.is_source:
-            if cache_h is not None and geom.input_keep_h_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:spill-input-h",
-                        elems=geom.input_keep_h_elems,
-                        bits=layer.act_bits,
-                        src=dest_i,
-                        dst=cache_h,
-                    )
-                )
-            if cache_v is not None and geom.input_keep_v_elems:
-                actions.append(
-                    DataCopyAction(
-                        label=f"{layer.name}:spill-input-v",
-                        elems=geom.input_keep_v_elems,
-                        bits=layer.act_bits,
-                        src=dest_i,
-                        dst=cache_v,
-                    )
-                )
-        return actions
-

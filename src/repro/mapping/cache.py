@@ -53,30 +53,46 @@ def normalize_key(key: Hashable) -> str:
     return json.dumps(key, separators=(",", ":"))
 
 
+def encode_cost(cost: CostResult) -> dict:
+    """JSON-serializable form of a :class:`CostResult` (traffic rows in
+    insertion order)."""
+    return {
+        "mac_count": cost.mac_count,
+        "mac_energy_pj": cost.mac_energy_pj,
+        "compute_cycles": cost.compute_cycles,
+        "latency_cycles": cost.latency_cycles,
+        "traffic": [
+            [category, level, t.reads_elems, t.writes_elems, t.energy_pj]
+            for (category, level), t in cost.traffic.items()
+        ],
+    }
+
+
 def encode_search_result(result: SearchResult) -> dict:
     """JSON-serializable form of a :class:`SearchResult`."""
-    cost = result.cost
     return {
         "loops": [[dim, factor] for dim, factor in result.mapping.loops],
         "bounds": {
             op: list(bounds) for op, bounds in result.mapping.boundaries.items()
         },
-        "cost": {
-            "mac_count": cost.mac_count,
-            "mac_energy_pj": cost.mac_energy_pj,
-            "compute_cycles": cost.compute_cycles,
-            "latency_cycles": cost.latency_cycles,
-            "traffic": [
-                [category, level, t.reads_elems, t.writes_elems, t.energy_pj]
-                for (category, level), t in cost.traffic.items()
-            ],
-        },
+        "cost": encode_cost(result.cost),
         "evaluated": result.evaluated,
     }
 
 
+#: Exact types of a JSON number (``bool`` is an ``int`` subclass but no
+#: cost).  Decoded values are checked, never converted: ints stay ints, so
+#: a re-saved file is byte-identical.
+_NUMBER = frozenset((int, float))
+
+
 def decode_search_result(data: Mapping) -> SearchResult:
-    """Inverse of :func:`encode_search_result`."""
+    """Inverse of :func:`encode_search_result`.
+
+    Raises ``ValueError`` when a cost scalar or traffic number is not a
+    JSON number (a string or ``null`` would only surface later, as a
+    ``TypeError`` inside :meth:`CostResult.add`).
+    """
     mapping = TemporalMapping(
         loops=tuple((dim, int(factor)) for dim, factor in data["loops"]),
         boundaries={
@@ -91,7 +107,26 @@ def decode_search_result(data: Mapping) -> SearchResult:
         compute_cycles=raw["compute_cycles"],
         latency_cycles=raw["latency_cycles"],
     )
+    scalars = (
+        cost.mac_count,
+        cost.mac_energy_pj,
+        cost.compute_cycles,
+        cost.latency_cycles,
+    )
+    for value in scalars:
+        if type(value) not in _NUMBER:
+            raise ValueError(f"non-numeric cost field {value!r}")
     for category, level, reads, writes, energy in raw["traffic"]:
+        # Inline: a helper call per row costs ~3x more on a large load.
+        if not (
+            type(reads) in _NUMBER
+            and type(writes) in _NUMBER
+            and type(energy) in _NUMBER
+        ):
+            raise ValueError(
+                f"non-numeric cost field in traffic row {category}/{level}: "
+                f"{[reads, writes, energy]!r}"
+            )
         cost.traffic[(category, level)] = Traffic(reads, writes, energy)
     return SearchResult(
         mapping=mapping, cost=cost, evaluated=int(data.get("evaluated", 0))

@@ -27,7 +27,7 @@ def plan_for(workload, accel, mode, tx, ty, tile_index=0, policy=None):
     tile = tiling.tile_types[tile_index]
     out_top = accel.top_level_index("O")
     return tile, plan_tile_memory(
-        accel, tile, stack.weight_bytes, {}, out_top, policy=policy
+        accel, tile, stack.weight_bytes, out_top, policy=policy
     )
 
 

@@ -98,6 +98,46 @@ class TestRoundTrip:
             cache = MappingCache(path)
         assert len(cache) == 0
 
+    @pytest.mark.parametrize(
+        "damage",
+        ["mac_count", "latency_cycles", "traffic_null", "traffic_bool"],
+    )
+    def test_non_numeric_cost_field_discarded(self, searched_cache, tmp_path, damage):
+        """A cost field that is not a JSON number would only fail later,
+        as a ``TypeError`` in ``CostResult.add``; it must be rejected at
+        load time like any other malformed entry."""
+        cache, _ = searched_cache
+        path = tmp_path / "loma.json"
+        cache.save(path)
+        payload = json.loads(path.read_text())
+        entry = next(iter(payload["entries"].values()))
+        if damage == "traffic_null":
+            entry["cost"]["traffic"][0][3] = None
+        elif damage == "traffic_bool":
+            entry["cost"]["traffic"][0][2] = True
+        else:
+            entry["cost"][damage] = "oops"
+        path.write_text(json.dumps(payload))
+
+        with pytest.warns(UserWarning, match="non-numeric cost field"):
+            assert MappingCache().load(path) == 0
+        with pytest.raises(ValueError, match="non-numeric cost field"):
+            MappingCache().load(path, strict=True)
+        from repro.mapping.cache import cache_file_info
+
+        assert cache_file_info(path)["status"] == "malformed-entries"
+
+    def test_resave_keeps_entries_byte_identical(self, searched_cache, tmp_path):
+        """Decoding keeps ints as ints: a load/save round trip rewrites
+        the same entry bytes."""
+        cache, _ = searched_cache
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        cache.save(first)
+        MappingCache(first).save(second, merge=False)
+        assert json.dumps(json.loads(first.read_text())["entries"]) == json.dumps(
+            json.loads(second.read_text())["entries"]
+        )
+
     def test_unreadable_path_discarded_not_fatal(self, tmp_path):
         """A cache path that is a directory (OSError on read) is
         discarded like any other unusable file."""

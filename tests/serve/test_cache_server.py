@@ -178,6 +178,29 @@ class TestClientBasics:
                 encode_search_result(r) for r in srv.cache.snapshot().values()
             ] == [encode_search_result(r) for r in before.values()]
 
+    @pytest.mark.parametrize("op", ["put", "put_many"])
+    def test_non_numeric_cost_entry_is_refused(self, op, client, server):
+        """An entry whose costs are not JSON numbers is answered with
+        ``ok: false`` and never reaches the table (or other clients)."""
+        client.put(("k", 0), make_result(0))
+        before = server.cache.snapshot()
+        entry = encode_search_result(make_result(1))
+        entry["cost"]["mac_count"] = "oops"
+        entry["cost"]["traffic"][0][4] = None
+        if op == "put":
+            request = {"op": "put", "key": "bad", "entry": entry}
+        else:
+            request = {"op": "put_many", "entries": {"bad": entry}}
+        with socket.create_connection(server.address) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(json.dumps(request).encode() + b"\n")
+            response = json.loads(reader.readline())
+            reader.close()
+        assert response["ok"] is False
+        assert "non-numeric cost field" in response["error"]
+        assert server.cache.snapshot().keys() == before.keys()
+        assert client.ping() == 1
+
 
 class TestMappingCacheSurface:
     """CacheClient must be a drop-in for MappingCache everywhere the
